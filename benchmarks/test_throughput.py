@@ -41,13 +41,10 @@ from repro.workload.generators import (
 
 from throughput_scenarios import (
     HB_SCENARIOS,
-    PARALLEL_BASE,
-    PARALLEL_SCENARIOS,
     REPORT_FILE,
     SCENARIOS,
     TRANSPORT_BASE,
     TRANSPORT_SCENARIOS,
-    _available_cpus,
     _hb_system,
     load_baseline,
 )
@@ -219,92 +216,6 @@ class TestThroughput:
         assert report["headline"]["scenario"] == HEADLINE
         assert report["headline"]["improvement"] > 0
         assert set(report["scenarios"]) == set(SCENARIOS)
-
-
-@pytest.fixture(scope="module")
-def parallel_results(results):
-    """Run the parallel-kernel scenarios and extend the BENCH report.
-
-    Depends on ``results`` so the report file exists before the
-    parallel section is merged in.  The committed entries are honest:
-    ``cpu_count`` records how many cores the measurement actually had,
-    and on a single-core host the speedup is the partitioning overhead
-    (sub-kernels time-share one core), not a parallelism claim.
-    """
-    measured = {}
-    for name, fn in PARALLEL_SCENARIOS.items():
-        best = None
-        for _ in range(2):
-            r = fn()
-            if best is None or r.wall_seconds < best.wall_seconds:
-                best = r
-        measured[name] = best
-
-    with open(REPORT_FILE) as fh:
-        report = json.load(fh)
-    section = {}
-    for name, r in measured.items():
-        serial = results[PARALLEL_BASE[name]]
-        section[name] = {
-            "current": r.to_json(),
-            "serial_scenario": PARALLEL_BASE[name],
-            "speedup_vs_serial_wall": round(
-                serial.wall_seconds / r.wall_seconds, 2),
-        }
-    report["parallel"] = {
-        "note": (
-            "Conservative parallel kernel (per-group sub-kernels, "
-            "latency-derived lookahead); semantic fields are asserted "
-            "identical to the serial scenario. speedup_vs_serial_wall "
-            "is only a parallelism measurement when cpu_count >= 2."
-        ),
-        "cpu_count": _available_cpus(),
-        "scenarios": section,
-    }
-    with open(REPORT_FILE, "w") as fh:
-        json.dump(report, fh, indent=2)
-        fh.write("\n")
-    return measured
-
-
-class TestParallelKernel:
-    """The parallel kernel must reproduce the serial runs exactly.
-
-    Identity assertions run everywhere; the speedup assertion only
-    where >= 2 CPUs are actually available (with one core the workers
-    time-share it and no wall-clock win is physically possible).
-    """
-
-    def test_semantics_identical_to_serial(self, parallel_results, results):
-        for name, r in parallel_results.items():
-            serial = results[PARALLEL_BASE[name]]
-            assert r.casts == serial.casts, name
-            assert r.deliveries == serial.deliveries, name
-            assert r.network_messages == serial.network_messages, name
-            assert r.fd_messages == serial.fd_messages, name
-            assert r.virtual_end == serial.virtual_end, name
-
-    @pytest.mark.skipif(
-        _available_cpus() < 2,
-        reason="speedup needs >= 2 CPUs; identity checks still ran")
-    @needs_comparable_wall_clock
-    def test_speedup_on_multicore(self, parallel_results, results):
-        for name, r in parallel_results.items():
-            serial = results[PARALLEL_BASE[name]]
-            speedup = serial.wall_seconds / r.wall_seconds
-            assert speedup >= 2.0, (
-                f"{name}: parallel speedup {speedup:.2f}x under 2x "
-                f"with {_available_cpus()} CPUs ({r.executor}, "
-                f"jobs={r.jobs})"
-            )
-
-    def test_report_has_parallel_section(self, parallel_results):
-        with open(REPORT_FILE) as fh:
-            report = json.load(fh)
-        assert set(report["parallel"]["scenarios"]) == set(PARALLEL_SCENARIOS)
-        assert report["parallel"]["cpu_count"] >= 1
-        for entry in report["parallel"]["scenarios"].values():
-            assert entry["current"]["kernel"] == "parallel"
 
 
 @pytest.fixture(scope="module")

@@ -68,14 +68,6 @@ class ThroughputResult:
     # from the fixed link latency) and acks are the whole overhead.
     tsp_retransmits: int = 0
     tsp_acks: int = 0
-    # Parallel-kernel runs record how they were executed; serial runs
-    # keep the defaults.  cpu_count is the honest context for any
-    # speedup number — on a single-core host the sub-kernels time-share
-    # one core and the parallel wall clock can only measure overhead.
-    kernel: str = "serial"
-    executor: str = ""
-    jobs: int = 0
-    cpu_count: int = 0
 
     @property
     def events_per_sec(self) -> float:
@@ -280,98 +272,6 @@ def poisson_hi_a1_transport(seed: int = 42) -> ThroughputResult:
     return _run("poisson_hi_a1_transport", system, plans)
 
 
-def _available_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def _run_parallel(name: str, system, plans) -> ThroughputResult:
-    """Mirror of :func:`_run` for a ``ParallelSystem``.
-
-    The plan list is scheduled through the parallel plan API (the
-    sub-kernels own their processes' clocks, so ``schedule_workload``'s
-    direct ``call_at`` path does not apply), everything else measures
-    the same way — the semantic fields (casts, deliveries, network
-    messages) must come out identical to the serial scenario.
-    """
-    system.schedule_plans(plans)
-    if hasattr(system.endpoints[0], "start_rounds"):
-        system.start_rounds()
-    t0 = time.perf_counter()
-    system.run_quiescent(max_events=50_000_000)
-    wall = time.perf_counter() - t0
-    deliveries = sum(
-        len(system.log.sequence(pid)) for pid in system.log.processes()
-    )
-    return ThroughputResult(
-        scenario=name,
-        protocol=system.protocol_name,
-        casts=len(system.log.cast_messages()),
-        deliveries=deliveries,
-        events_executed=system.sim.events_executed,
-        network_messages=system.network.stats.total_messages,
-        virtual_end=system.sim.now,
-        wall_seconds=max(wall, 1e-9),
-        fd_messages=sum(count for kind, count
-                        in system.network.stats.by_kind.items()
-                        if kind.startswith("fd.")),
-        kernel="parallel",
-        executor=system.executor_used,
-        jobs=system.jobs,
-        cpu_count=_available_cpus(),
-    )
-
-
-def _hb_parallel(protocol: str, horizon: float, seed: int,
-                 jobs: int, executor: str):
-    if executor is None:
-        # Threads cannot speed up pure-Python sub-kernels (GIL); real
-        # parallelism needs processes, which only pay off with >= 2
-        # CPUs.  Inline still exercises the full partitioned path and
-        # honestly measures its overhead on single-core hosts.
-        executor = "processes" if _available_cpus() >= 2 else "inline"
-    return build_system(
-        protocol=protocol, group_sizes=HB_GROUP_SIZES, seed=seed,
-        detector="heartbeat-elided",
-        heartbeat_period=HB_PERIOD, heartbeat_timeout=HB_TIMEOUT,
-        heartbeat_horizon=horizon,
-        kernel="parallel", jobs=jobs, executor=executor,
-    )
-
-
-def hb_large_a1_parallel(seed: int = 42, jobs: int = 0,
-                         executor: str = None) -> ThroughputResult:
-    """``hb_large_a1`` under the conservative parallel kernel.
-
-    Same topology, workload plan and elided detector as the serial
-    scenario; eight per-group sub-kernels synchronized at unit-lookahead
-    epoch barriers.  Semantic fields must equal ``hb_large_a1``'s —
-    ``benchmarks/test_throughput.py`` asserts it.
-    """
-    system = _hb_parallel("a1", horizon=3_000.0, seed=seed,
-                          jobs=jobs, executor=executor)
-    plans = poisson_workload(
-        system.topology, system.rng.stream("wl"),
-        rate=1.5, duration=60.0,
-        destinations=uniform_k_groups(2),
-    )
-    return _run_parallel("hb_large_a1_parallel", system, plans)
-
-
-def hb_large_a2_parallel(seed: int = 42, jobs: int = 0,
-                         executor: str = None) -> ThroughputResult:
-    """``hb_large_a2`` under the conservative parallel kernel."""
-    system = _hb_parallel("a2", horizon=4_000.0, seed=seed,
-                          jobs=jobs, executor=executor)
-    plans = poisson_workload(
-        system.topology, system.rng.stream("wl"),
-        rate=0.15, duration=60.0,
-    )
-    return _run_parallel("hb_large_a2_parallel", system, plans)
-
-
 SCENARIOS: Dict[str, Callable[[], ThroughputResult]] = {
     "poisson_hi_a1": poisson_hi_a1,
     "poisson_hi_a2": poisson_hi_a2,
@@ -385,18 +285,6 @@ SCENARIOS: Dict[str, Callable[[], ThroughputResult]] = {
 #: Heartbeat scenarios: measured in elided mode against committed
 #: message-mode baselines; compared on ``app_events_per_sec``.
 HB_SCENARIOS = ("hb_large_a1", "hb_large_a2")
-
-#: Parallel-kernel scenarios, kept out of ``SCENARIOS`` (they have no
-#: pre-refactor baseline entry); mapped to the serial scenario whose
-#: semantic fields they must reproduce exactly.
-PARALLEL_SCENARIOS: Dict[str, Callable[[], ThroughputResult]] = {
-    "hb_large_a1_parallel": hb_large_a1_parallel,
-    "hb_large_a2_parallel": hb_large_a2_parallel,
-}
-PARALLEL_BASE = {
-    "hb_large_a1_parallel": "hb_large_a1",
-    "hb_large_a2_parallel": "hb_large_a2",
-}
 
 #: Reliable-transport scenarios, also kept out of ``SCENARIOS`` (no
 #: pre-transport baseline entry); mapped to the bare scenario whose

@@ -101,23 +101,6 @@ class Network:
         # filled; rows are fetched once per send_many call so the
         # per-copy lookup is a single int-keyed dict access.
         self._fixed_delay: Dict[int, Dict[int, Optional[float]]] = {}
-        # Partitioned (parallel-kernel) mode: copies addressed outside
-        # the owned group are buffered here instead of scheduled, and
-        # flushed to the owning sub-kernel at the next epoch barrier.
-        # None in serial mode — the hot paths pay one is-None test.
-        self._outbox = None
-        self._owned_gid = -1
-
-    def divert_cross_group(self, owned_gid: int, outbox) -> None:
-        """Enter partitioned mode: buffer copies leaving ``owned_gid``.
-
-        Installed by the parallel kernel on each sub-kernel replica;
-        ``outbox`` is an :class:`~repro.sim.partition.Outbox` whose
-        append order extends this sub-kernel's scheduling order across
-        the group boundary.
-        """
-        self._owned_gid = owned_gid
-        self._outbox = outbox
 
     # ------------------------------------------------------------------
     # Membership
@@ -271,8 +254,6 @@ class Network:
         if fixed_row is None:
             fixed_row = self._fixed_delay[src_gid] = {}
         rng = self.rng
-        outbox = self._outbox
-        owned_gid = self._owned_gid
         total = 0
         n_inter = 0
         buckets: Dict[float, List[Message]] = {}
@@ -304,9 +285,6 @@ class Network:
             if self._delay_hooks:
                 for hook in self._delay_hooks:
                     delay = hook(msg, delay)
-            if outbox is not None and dst_gid != owned_gid:
-                outbox.add(msg, delay, dst_gid)
-                continue
             bucket = buckets.get(delay)
             if bucket is None:
                 buckets[delay] = [msg]
@@ -351,9 +329,6 @@ class Network:
         delay = self._link_delay(src_gid, dst_gid)
         for hook in self._delay_hooks:
             delay = hook(msg, delay)
-        if self._outbox is not None and dst_gid != self._owned_gid:
-            self._outbox.add(msg, delay, dst_gid)
-            return
         self.sim.schedule_action(delay, lambda m=msg: self._deliver(m))
 
     def _link_delay(self, src_gid: int, dst_gid: int) -> float:

@@ -26,9 +26,9 @@ class Distribution:
     def lower_bound(self) -> float:
         """Infimum of the support.
 
-        The conservative parallel kernel derives its lookahead from the
-        smallest delay an inter-group link can ever produce; every
-        distribution must therefore know its own floor.
+        :meth:`LatencyModel.min_inter_group` takes the smallest delay
+        an inter-group link can ever produce from these floors; every
+        distribution must therefore know its own.
         """
         raise NotImplementedError
 
@@ -131,40 +131,29 @@ class LatencyModel:
     def min_inter_group(self) -> float:
         """Smallest delay any inter-group link can ever produce.
 
-        This is the conservative parallel kernel's lookahead: a message
-        crossing groups at time ``t`` cannot arrive before
-        ``t + min_inter_group()``, so an epoch of that width can be
-        executed by every group independently.
+        A message crossing groups at time ``t`` cannot arrive before
+        ``t + min_inter_group()``.  The reliable transport sizes its ack
+        coalescing window and default retransmission timeout from this
+        bound (see :class:`~repro.transport.reliable.ReliableTransport`).
 
         Raises:
-            ValueError: When the bound is not strictly positive (a
-                conservative synchronizer with zero lookahead can never
-                advance — fail fast instead of deadlocking) or when no
-                inter-group distribution is configured.
+            ValueError: When the bound is not strictly positive (it
+                gives the transport no time scale, so the transport
+                falls back to 1.0) or when no inter-group distribution
+                is configured.
         """
         if self.inter is None:
             raise ValueError("latency model has no inter-group distribution")
         bounds = [self.inter.lower_bound()]
         bounds.extend(dist.lower_bound()
                       for dist in self.pairwise_inter.values())
-        lookahead = min(bounds)
-        if lookahead <= 0:
+        bound = min(bounds)
+        if bound <= 0:
             raise ValueError(
-                f"inter-group latency lower bound is {lookahead!r}; the "
-                f"parallel kernel needs a strictly positive lookahead"
+                f"inter-group latency lower bound is {bound!r}; it must "
+                f"be strictly positive"
             )
-        return lookahead
-
-    def all_fixed(self) -> bool:
-        """True when every link delay is a constant (no RNG draws).
-
-        The parallel kernel requires this: per-copy latency sampling
-        consumes a shared random stream whose draw order depends on the
-        global event interleaving, which per-group sub-kernels do not
-        reproduce.
-        """
-        dists = [self.intra, self.inter, *self.pairwise_inter.values()]
-        return all(type(d) is Fixed for d in dists)
+        return bound
 
     @classmethod
     def wan(

@@ -369,10 +369,6 @@ def build_system(
     transport: str = "none",
     trace: bool = False,
     profile: bool = False,
-    kernel: str = "serial",
-    jobs: int = 0,
-    executor: str = "inline",
-    _sim: Optional[Simulator] = None,
     **protocol_kwargs,
 ) -> System:
     """Assemble a ready-to-run :class:`System`.
@@ -404,31 +400,16 @@ def build_system(
             retransmitting transport of
             :mod:`repro.transport.reliable` beneath every protocol
             kind — required for the lossy adversary kinds to be
-            masked rather than fatal).  Serial kernel only.
+            masked rather than fatal).
         trace: Enable the full message trace (genuineness checks).
         profile: Attach a :class:`~repro.runtime.profiler.PhaseProfiler`
             (shared by kernel, network and detector) — read the result
             from ``RunReport.phase_timings()``.
-        kernel: ``"serial"`` (the default single event loop),
-            ``"parallel"`` (per-group sub-kernels with latency-derived
-            lookahead — see :mod:`repro.runtime.parallel`; raises
-            :class:`~repro.runtime.parallel.ParallelKernelError` outside
-            its envelope) or ``"auto"`` (parallel when eligible, serial
-            otherwise).
-        jobs: Parallel kernel worker count (0 = one per group).
-        executor: Parallel worker dispatch — ``"inline"``,
-            ``"threads"`` or ``"processes"``.
-        _sim: Internal — the parallel kernel passes each sub-kernel's
-            group-sequenced simulator here.
         **protocol_kwargs: Forwarded to the protocol constructor.
     """
     if protocol not in PROTOCOLS:
         raise ValueError(
             f"unknown protocol {protocol!r}; pick one of {sorted(PROTOCOLS)}"
-        )
-    if kernel not in ("serial", "parallel", "auto"):
-        raise ValueError(
-            f"unknown kernel {kernel!r}; pick 'serial', 'parallel' or 'auto'"
         )
     from repro.transport import TRANSPORTS
 
@@ -436,30 +417,7 @@ def build_system(
         raise ValueError(
             f"unknown transport {transport!r}; pick one of {TRANSPORTS}"
         )
-    if kernel != "serial" and _sim is None:
-        from repro.runtime.parallel import (
-            ParallelKernelError,
-            build_parallel_system,
-        )
-
-        build_kwargs = dict(
-            protocol=protocol, group_sizes=list(group_sizes),
-            latency=latency, seed=seed, crashes=crashes,
-            detector=detector, detector_delay=detector_delay,
-            stabilise_at=stabilise_at, heartbeat_period=heartbeat_period,
-            heartbeat_timeout=heartbeat_timeout,
-            heartbeat_horizon=heartbeat_horizon, transport=transport,
-            trace=trace, profile=profile, **protocol_kwargs,
-        )
-        if kernel == "parallel":
-            return build_parallel_system(build_kwargs, jobs=jobs,
-                                         executor=executor)
-        try:
-            return build_parallel_system(build_kwargs, jobs=jobs,
-                                         executor=executor)
-        except ParallelKernelError:
-            pass  # auto: fall back to the serial kernel
-    sim = _sim if _sim is not None else Simulator()
+    sim = Simulator()
     rng = RngRegistry(seed)
     topology = Topology(list(group_sizes))
     latency = latency or LatencyModel.logical()

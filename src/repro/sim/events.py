@@ -6,14 +6,11 @@ that runs are fully deterministic: two events scheduled for the same
 virtual time always execute in the order they were scheduled.
 
 **The ``(time, seq)`` tie-break is a pinned contract**, not an
-implementation detail: the parallel kernel's bit-identical claim rests
-on reproducing exactly this total order from per-group sub-kernels (see
-:mod:`repro.sim.partition`), and ``tests/test_event_queue.py`` regression-
-tests it with colliding timestamps.  ``seq`` only needs to be totally
-ordered and consistent with scheduling order — the serial queue uses an
-``int`` counter, the partitioned queue a nested pedigree tuple
-``(sched_time, parent_seq, call_index)`` that embeds the same order
-across sub-kernels.
+implementation detail: it is what makes a seed replay identically —
+the golden counterexample replays, the campaign runner's per-seed
+determinism check and the benchmark's delivery digests all rest on
+it — and ``tests/test_event_queue.py`` regression-tests it with
+colliding timestamps.
 
 Events sit on the hot path of every simulated message, so the queue's
 heap holds ``(time, seq, event)`` triples — the ``(time, seq)`` prefix

@@ -398,7 +398,14 @@ class StreamingSerializabilityChecker:
         for rid in walk.r_preds:
             captured[rid] = {}
             for k in walk.ops[rid].keys:
-                remaining[(rid, k)] = set(closure(rid, k))
+                # Only closure members that touch `k` can change its
+                # value.  Waiting on the others too would let a
+                # post-move writer of `k` that the global order places
+                # before an unrelated predecessor leak into the capture.
+                remaining[(rid, k)] = {
+                    t for t in closure(rid, k)
+                    if any(op[1] == k for op in self._txns[t].ops)
+                }
 
         def capture_ready() -> None:
             for rid, k in [ck for ck, preds in remaining.items()

@@ -7,17 +7,8 @@ counted, and the idle-hook refill check in ``Simulator.run`` must stay
 exact in the presence of cancelled stragglers.
 """
 
-import pytest
-
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
-from repro.sim.partition import (
-    SETUP_BAND_BUILD,
-    SETUP_BAND_WORKLOAD,
-    GroupSequencedQueue,
-    epoch_of,
-    window_end,
-)
 
 
 class TestLiveCount:
@@ -104,10 +95,9 @@ class TestDeterminism:
 class TestTieBreakContract:
     """The ``(time, seq)`` tie-break is a pinned contract.
 
-    The parallel kernel reproduces the serial total order from per-group
-    sub-kernels, so equal-timestamp scheduling order is load-bearing —
-    changing it silently breaks the bit-identical claim even though no
-    single-queue test would notice.
+    Seed replay rests on it: golden counterexamples, per-seed campaign
+    metrics and delivery digests reproduce only if equal-timestamp
+    events fire in scheduling order on every run.
     """
 
     def test_colliding_timestamps_pop_in_scheduling_order(self):
@@ -132,99 +122,6 @@ class TestTieBreakContract:
         sim.schedule(1.0, lambda: fired.append("b"))
         sim.run()
         assert fired == ["a", "b", "a-child"]
-
-
-class TestGroupSequencedQueue:
-    """Pedigree keys must embed the serial counter order."""
-
-    def _bound_queue(self, gid=0):
-        q = GroupSequencedQueue(gid)
-        sim = Simulator(queue=q)
-        q.bind(sim)
-        return q, sim
-
-    def test_setup_roots_order_by_band_then_group_then_counter(self):
-        q0, _ = self._bound_queue(0)
-        q1, _ = self._bound_queue(1)
-        build0 = q0._next_seq()
-        q0.set_setup_band(SETUP_BAND_WORKLOAD)
-        workload0 = q0._next_seq()
-        build1 = q1._next_seq()
-        # Build band sorts before workload band regardless of group;
-        # within a band, group-major.
-        assert build0 < build1 < workload0
-
-    def test_runtime_children_follow_scheduling_moment_order(self):
-        q, sim = self._bound_queue()
-        fired = []
-        # a, b, c are setup roots in scheduling order.
-        sim.schedule(1.0, lambda: (fired.append("a"),
-                                   sim.schedule(1.0, lambda: fired.append("a-child"))))
-        sim.schedule(1.0, lambda: (fired.append("b"),
-                                   sim.schedule(1.0, lambda: fired.append("b-child"))))
-        sim.schedule(2.0, lambda: fired.append("c"))
-        q.begin_run()
-        sim.run()
-        # a-child, b-child and c collide at t=2; serial order is
-        # scheduling-moment order: c was scheduled during setup (before
-        # the run), then a's child (a ran first at t=1), then b's.
-        assert fired == ["a", "b", "c", "a-child", "b-child"]
-
-    def test_keys_nest_parent_pedigrees(self):
-        q, sim = self._bound_queue()
-        parent = sim.schedule(1.0, lambda: None)
-        q.begin_run()
-        q.pop_entry()  # the kernel pops `parent` before executing it
-        sim._now = 1.0
-        child = sim.schedule(1.0, lambda: None)
-        # seq = (scheduling time, parent's key, call index): structurally
-        # shared, one 3-tuple per event.
-        assert child.seq == (1.0, parent.seq, 0)
-        assert child.seq[1] is parent.seq
-
-    def test_remote_key_interleaves_where_sender_scheduled_it(self):
-        """A cross-group arrival carries the sender's pedigree key and
-        must sort against local events exactly as it would have in the
-        one serial heap."""
-        sender_q, sender_sim = self._bound_queue(0)
-        dest_q, dest_sim = self._bound_queue(1)
-        fired = []
-        # Destination schedules a local event for t=2 during setup —
-        # earliest possible scheduling moment.
-        dest_sim.schedule(2.0, lambda: fired.append("local-early"))
-        dest_q.begin_run()
-        sender_q.begin_run()
-        # Sender mints a copy's key while executing an event at t=1.0.
-        sender_q._parent_key = (SETUP_BAND_BUILD, (0,), 0)
-        sender_sim._now = 1.0
-        remote_seq = sender_q._next_seq()
-        dest_q.push_remote(2.0, remote_seq, lambda: fired.append("remote"))
-        # A destination event scheduled at runtime t=1.5 — later moment.
-        dest_q._parent_key = (SETUP_BAND_BUILD, (1,), 0)
-        dest_sim._now = 1.5
-        dest_sim.schedule(0.5, lambda: fired.append("local-late"))
-        dest_sim.run()
-        assert fired == ["local-early", "remote", "local-late"]
-
-
-class TestEpochArithmetic:
-    def test_window_containment(self):
-        assert epoch_of(0.0, 1.0) == 0
-        assert epoch_of(0.999, 1.0) == 0
-        assert epoch_of(1.0, 1.0) == 1  # windows are half-open
-        assert epoch_of(7.25, 1.0) == 7
-
-    def test_boundary_float_rounding(self):
-        lookahead = 0.1  # not exactly representable
-        for e in range(50):
-            t = e * lookahead
-            assert epoch_of(t, lookahead) == epoch_of(t, lookahead)
-            ep = epoch_of(t, lookahead)
-            assert ep * lookahead <= t < window_end(ep, lookahead)
-
-    def test_window_end_is_exclusive_bound(self):
-        assert window_end(3, 0.5) == 2.0
-        assert epoch_of(window_end(3, 0.5), 0.5) == 4
 
 
 class TestIdleHookRefill:
