@@ -26,7 +26,10 @@ This is the substrate the paper assumes solvable in each group
   the survivors.
 * **Liveness.**  Undecided proposers retry on a timer: they re-forward
   to the current leader (per the failure detector) or, if they are the
-  leader, run a higher ballot.  Timers are armed only while the process
+  leader, run a higher ballot.  The retry timers ride one kernel
+  :class:`~repro.sim.events.TimerLane` per endpoint, so the one armed on
+  every ``propose`` and cancelled at the decision costs no event and at
+  most one heap slot per lane.  Timers are armed only while the process
   has an undecided proposal, so a finished group goes quiet — this is
   what lets Algorithm A2 be quiescent (paper Proposition A.9, which
   assumes halting consensus).
@@ -40,6 +43,7 @@ from typing import Any, Dict, Hashable, List, Optional, Set
 from repro.consensus.interfaces import ConsensusProtocol, DecisionHandler
 from repro.failure.detectors import FailureDetector
 from repro.net.message import Message
+from repro.sim.events import LaneTimer
 from repro.sim.process import Process
 
 
@@ -88,29 +92,31 @@ class GroupConsensus(ConsensusProtocol):
         self.process = process
         self.members = sorted(group_members)
         self.detector = detector
-        self.retry_timeout = retry_timeout
         self.ns = namespace
         self._rank = {pid: i for i, pid in enumerate(self.members)}
         self._majority = len(self.members) // 2 + 1
 
         self._acceptors: Dict[int, _AcceptorState] = {}
         self._proposers: Dict[int, _ProposerState] = {}
-        # (instance, ballot) -> set of acceptors whose ``accepted`` we saw.
-        self._accepted_tally: Dict[tuple, Set[int]] = {}
+        # instance -> ballot -> acceptors whose ``accepted`` we saw.
+        self._accepted_tally: Dict[int, Dict[int, Set[int]]] = {}
         self._candidates: Dict[int, Any] = {}  # my own / forwarded values
         self._proposed: Set[int] = set()  # instances I called propose() on
         self._decisions: Dict[int, Any] = {}
         self._max_ballot_seen: Dict[int, int] = {}
-        self._timer_armed: Set[int] = set()
-        self._timer_events: Dict[int, object] = {}
+        self._timers: Dict[int, LaneTimer] = {}  # armed retry per instance
+        self._retry_lane = process.sim.lane(
+            retry_timeout, self._on_timer, label=f"{namespace}.retry")
         self._handler: Optional[DecisionHandler] = None
 
+        # Message kinds are built once here, not on every send.
         for suffix in (
             "forward", "prepare", "promise", "accept", "accepted", "nack",
             "decide",
         ):
-            process.register_handler(f"{self.ns}.{suffix}",
-                                     getattr(self, f"_on_{suffix}"))
+            kind = f"{namespace}.{suffix}"
+            setattr(self, f"_k_{suffix}", kind)
+            process.register_handler(kind, getattr(self, f"_on_{suffix}"))
 
     # ------------------------------------------------------------------
     # Public API
@@ -156,7 +162,7 @@ class GroupConsensus(ConsensusProtocol):
         if leader != self.process.pid:
             if value is not None:
                 self.process.send(
-                    leader, f"{self.ns}.forward",
+                    leader, self._k_forward,
                     {"k": instance, "value": value},
                 )
             return
@@ -181,32 +187,24 @@ class GroupConsensus(ConsensusProtocol):
                 return  # nothing to propose yet; wait for a forward
             state.ballot = ballot
             state.promises = {}
-            state.accepted_from = set()
             state.phase = "accept"
             state.value = value
-            self._broadcast(f"{self.ns}.accept",
+            self._broadcast(self._k_accept,
                             {"k": instance, "b": ballot, "value": value})
         else:
             state.ballot = ballot
             state.promises = {}
-            state.accepted_from = set()
             state.value = None
             state.phase = "prepare"
-            self._broadcast(f"{self.ns}.prepare", {"k": instance, "b": ballot})
+            self._broadcast(self._k_prepare, {"k": instance, "b": ballot})
 
     def _arm_timer(self, instance: int) -> None:
-        if instance in self._timer_armed or instance in self._decisions:
+        if instance in self._timers or instance in self._decisions:
             return
-        self._timer_armed.add(instance)
-        self._timer_events[instance] = self.process.sim.schedule(
-            self.retry_timeout,
-            lambda: self._on_timer(instance),
-            label=f"{self.ns}.retry",
-        )
+        self._timers[instance] = self._retry_lane.arm(instance)
 
     def _on_timer(self, instance: int) -> None:
-        self._timer_armed.discard(instance)
-        self._timer_events.pop(instance, None)
+        del self._timers[instance]
         if instance in self._decisions or self.process.crashed:
             return
         self._attempt(instance)
@@ -223,7 +221,7 @@ class GroupConsensus(ConsensusProtocol):
         if instance in self._decisions:
             # Help a lagging peer instead of re-running the instance.
             self.process.send(
-                msg.src, f"{self.ns}.decide",
+                msg.src, self._k_decide,
                 {"k": instance, "value": self._decisions[instance]},
             )
             return
@@ -243,7 +241,7 @@ class GroupConsensus(ConsensusProtocol):
         if ballot > acc.promised:
             acc.promised = ballot
             self.process.send(
-                msg.src, f"{self.ns}.promise",
+                msg.src, self._k_promise,
                 {
                     "k": instance,
                     "b": ballot,
@@ -253,7 +251,7 @@ class GroupConsensus(ConsensusProtocol):
             )
         else:
             self.process.send(
-                msg.src, f"{self.ns}.nack",
+                msg.src, self._k_nack,
                 {"k": instance, "b": ballot, "promised": acc.promised},
             )
 
@@ -282,7 +280,7 @@ class GroupConsensus(ConsensusProtocol):
         state.phase = "accept"
         state.value = value
         self._broadcast(
-            f"{self.ns}.accept",
+            self._k_accept,
             {"k": instance, "b": state.ballot, "value": value},
         )
 
@@ -299,12 +297,12 @@ class GroupConsensus(ConsensusProtocol):
             # tallies accepted votes and decides two delays after the
             # proposal, at O(d²) messages per instance.
             self._broadcast(
-                f"{self.ns}.accepted",
+                self._k_accepted,
                 {"k": instance, "b": ballot, "value": value},
             )
         else:
             self.process.send(
-                msg.src, f"{self.ns}.nack",
+                msg.src, self._k_nack,
                 {"k": instance, "b": ballot, "promised": acc.promised},
             )
 
@@ -312,7 +310,12 @@ class GroupConsensus(ConsensusProtocol):
         instance, ballot = msg.payload["k"], msg.payload["b"]
         if instance in self._decisions:
             return
-        voters = self._accepted_tally.setdefault((instance, ballot), set())
+        ballots = self._accepted_tally.get(instance)
+        if ballots is None:
+            ballots = self._accepted_tally[instance] = {}
+        voters = ballots.get(ballot)
+        if voters is None:
+            voters = ballots[ballot] = set()
         voters.add(msg.src)
         if len(voters) >= self._majority:
             self._decide(instance, msg.payload["value"])
@@ -343,15 +346,11 @@ class GroupConsensus(ConsensusProtocol):
             return
         self._decisions[instance] = value
         self._proposers.pop(instance, None)
-        self._accepted_tally = {
-            key: voters for key, voters in self._accepted_tally.items()
-            if key[0] != instance
-        }
+        self._accepted_tally.pop(instance, None)
         # The retry timer would fire, see the decision, and do nothing;
-        # cancelling it keeps the queue free of dead-air events and lets
-        # a finished group quiesce retry_timeout earlier.
-        self._timer_armed.discard(instance)
-        timer = self._timer_events.pop(instance, None)
+        # cancelling it keeps it from ever firing and lets a finished
+        # group quiesce retry_timeout earlier.
+        timer = self._timers.pop(instance, None)
         if timer is not None:
             timer.cancel()
         if self._handler is not None:

@@ -12,12 +12,14 @@ Properties:
 Implementation: the sender sends one copy per addressee (this is the
 ``d(k-1)`` inter-group message cost the paper charges for the primitive,
 after [6]).  Agreement despite a faulty sender is ensured by a **lazy
-relay**: each receiver arms a one-shot check; if the sender is suspected
-by then, the receiver relays the message to every addressee.  In the
-common case (sender correct) the check fires, finds nothing to do, and
-the primitive stays at its optimal message cost — and, because the check
-is a finite local event, the primitive is *halting*, which Algorithm
-A2's quiescence proof requires (paper footnote 12).
+relay**: on R-Delivery each receiver arms a ``relay_after``-unit timer
+on its relay lane (a kernel :class:`~repro.sim.events.TimerLane`: one
+FIFO per endpoint, one heap slot); if the sender is suspected when the
+timer fires, the receiver relays the message to every addressee.  In
+the common case (sender correct) the timer fires, finds nothing to do,
+and the primitive stays at its optimal message cost — and, because each
+timer fires once and arms nothing, the primitive is *halting*, which
+Algorithm A2's quiescence proof requires (paper footnote 12).
 
 Delivery is immediate on first receipt, giving the latency degree of 1
 the paper uses in its analyses (Theorem 4.1).
@@ -53,12 +55,14 @@ class ReliableMulticast:
     ) -> None:
         self.process = process
         self.detector = detector
-        self.relay_after = relay_after
         self.ns = namespace
+        self._data_kind = f"{namespace}.data"
         self._delivered: Set[str] = set()
         self._relayed: Set[str] = set()
         self._handler: Optional[RDeliveryHandler] = None
-        process.register_handler(f"{self.ns}.data", self._on_data)
+        self._relay_lane = process.sim.lane(
+            relay_after, self._relay_check, label=f"{namespace}.relay")
+        process.register_handler(self._data_kind, self._on_data)
 
     # ------------------------------------------------------------------
     def set_delivery_handler(self, handler: RDeliveryHandler) -> None:
@@ -81,7 +85,7 @@ class ReliableMulticast:
             "dests": sorted(set(dest_pids)),
             "data": payload,
         }
-        self.process.send_many(body["dests"], f"{self.ns}.data", body)
+        self.process.send_many(body["dests"], self._data_kind, body)
         return mid
 
     # ------------------------------------------------------------------
@@ -99,14 +103,10 @@ class ReliableMulticast:
             if self.detector.suspects(self.process.pid, body["sender"]):
                 self._relay(body)
             else:
-                self.process.sim.schedule(
-                    self.relay_after,
-                    lambda b=body: self._relay_check(b),
-                    label=f"{self.ns}.relaycheck",
-                )
+                self._relay_lane.arm(body)
 
     def _relay_check(self, body: dict) -> None:
-        """One-shot lazy relay: act only if the sender looks faulty."""
+        """Lazy relay timer: act only if the sender looks faulty."""
         if self.process.crashed:
             return
         if self.detector.suspects(self.process.pid, body["sender"]):
@@ -119,7 +119,7 @@ class ReliableMulticast:
         self._relayed.add(mid)
         others = [p for p in body["dests"] if p != self.process.pid]
         if others:
-            self.process.send_many(others, f"{self.ns}.data", body)
+            self.process.send_many(others, self._data_kind, body)
 
     def _deliver(self, body: dict) -> None:
         if self._handler is None:

@@ -10,7 +10,11 @@ implementation detail: it is what makes a seed replay identically —
 the golden counterexample replays, the campaign runner's per-seed
 determinism check and the benchmark's delivery digests all rest on
 it — and ``tests/test_event_queue.py`` regression-tests it with
-colliding timestamps.
+colliding timestamps.  The contract covers timer lanes too: a
+:class:`TimerLane` timer reserves its ``(now + delay, seq)`` key when it
+is armed, drawing ``seq`` from the same counter as every event, and
+fires at exactly that position in the global order — the position a
+plain :class:`Event` scheduled at the same moment would have had.
 
 Events sit on the hot path of every simulated message, so the queue's
 heap holds ``(time, seq, event)`` triples — the ``(time, seq)`` prefix
@@ -20,13 +24,25 @@ comparator instead of calling back into Python (the dataclass-generated
 queue also keeps an exact count of *live* (non-cancelled) events:
 :meth:`Event.cancel` reports back to its owning queue, so ``len(queue)``
 never counts tombstones still sitting in the heap.
+
+**Timer lanes** carry the fixed-delay timers that almost never do
+anything (lazy relay checks, consensus retries).  Timers that share one
+delay fire in the order they were armed, so a lane keeps them in a FIFO
+and only its oldest timer holds a heap slot: the fixed-interval case of
+Varghese & Lauck's timing wheels.  A cancelled lane timer is invisible
+— it never fires, never moves the clock and is never counted — and a
+lane leaves at most one tombstone in the heap however many of its
+timers are cancelled.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from typing import Any, Callable, Optional, Tuple
+
+_INF = float("inf")
 
 
 class Event:
@@ -80,6 +96,88 @@ class Event:
         return f"Event(t={self.time:.3f} seq={self.seq} {self.label}{state})"
 
 
+class LaneTimer:
+    """One armed timer of a :class:`TimerLane`: a cancellable handle.
+
+    Attributes:
+        time: Reserved firing time (arming time plus the lane's delay).
+        seq: Reserved sequence number, from the queue's event counter.
+        arg: The value the lane's callback receives when this fires.
+        lane: The owning lane.
+        cancelled: When True the timer never fires.
+    """
+
+    __slots__ = ("time", "seq", "arg", "lane", "cancelled", "_queue")
+
+    def __init__(self, time: float, seq: int, arg: Any, lane: "TimerLane",
+                 queue: "EventQueue") -> None:
+        self.time = time
+        self.seq = seq
+        self.arg = arg
+        self.lane = lane
+        self.cancelled = False
+        self._queue = queue
+
+    def cancel(self) -> None:
+        """Withdraw the timer; a no-op once it fired or was cancelled."""
+        if self.cancelled:
+            return
+        self.cancelled = True
+        if self._queue is None:
+            return  # already fired, or dropped by clear()
+        self._queue._live -= 1
+        # Cancelled timers at the back of the FIFO go now; the front one
+        # holds the lane's heap slot and goes when that slot pops.
+        fifo = self.lane._fifo
+        while len(fifo) > 1 and fifo[-1].cancelled:
+            fifo.pop()
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        state = " cancelled" if self.cancelled else ""
+        return (f"LaneTimer(t={self.time:.3f} seq={self.seq} "
+                f"{self.lane.label}{state})")
+
+
+class TimerLane:
+    """A FIFO of timers that share one fixed delay and one callback.
+
+    :meth:`arm` reserves the ``(now + delay, seq)`` key the timer would
+    have had as its own :class:`Event`.  Because the delay is fixed and
+    the clock never runs backwards, the FIFO is already in key order, so
+    only its front timer needs a heap slot; the queue hands the slot on
+    to the next pending timer when the front one pops.
+
+    Attributes:
+        delay: Virtual time between arming and firing.
+        callback: Called with the timer's ``arg`` when a timer fires.
+        label: Human-readable tag used by debugging output.
+    """
+
+    __slots__ = ("delay", "callback", "label", "_queue", "_clock", "_fifo")
+
+    def __init__(self, queue: "EventQueue", clock: Any, delay: float,
+                 callback: Callable[[Any], None], label: str = "") -> None:
+        """``clock`` is any object whose ``now`` is the virtual time."""
+        self.delay = delay
+        self.callback = callback
+        self.label = label
+        self._queue = queue
+        self._clock = clock
+        self._fifo: deque = deque()
+
+    def arm(self, arg: Any = None) -> LaneTimer:
+        """Start a timer that calls ``callback(arg)`` after ``delay``."""
+        queue = self._queue
+        timer = LaneTimer(self._clock.now + self.delay, next(queue._counter),
+                          arg, self, queue)
+        fifo = self._fifo
+        fifo.append(timer)
+        if len(fifo) == 1:
+            heapq.heappush(queue._heap, (timer.time, timer.seq, timer))
+        queue._live += 1
+        return timer
+
+
 class EventQueue:
     """A deterministic priority queue of :class:`Event` objects.
 
@@ -87,7 +185,9 @@ class EventQueue:
     ``(time, seq)`` contract documented in the module docstring.
 
     ``len(queue)`` is the number of *live* events: cancelled events still
-    occupy heap slots until lazily popped, but are never counted.
+    occupy heap slots until lazily popped, but are never counted.  Armed
+    :class:`TimerLane` timers count as live events until they fire or
+    are cancelled.
     """
 
     def __init__(self) -> None:
@@ -119,55 +219,87 @@ class EventQueue:
         heapq.heappush(self._heap, (time, next(self._counter), action))
         self._live += 1
 
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or None.
+    def take(self, until: float = _INF) -> Optional[tuple]:
+        """Prune tombstones, then pop the earliest live entry if due.
 
-        Bare actions pushed with :meth:`push_action` are wrapped in a
-        fresh :class:`Event` so callers see one uniform type.
-        """
-        entry = self.pop_entry()
-        if entry is None:
-            return None
-        time, seq, item = entry
-        if type(item) is Event:
-            return item
-        return Event(time, seq, item)
-
-    def pop_entry(self) -> Optional[tuple]:
-        """Remove and return the earliest live ``(time, seq, item)``.
-
-        ``item`` is either a live :class:`Event` or a bare callable; the
-        kernel's run loop consumes these directly to avoid per-event
-        wrapper churn.
+        Returns the earliest live ``(time, seq, item)`` when its time is
+        at most ``until`` — ``item`` is an :class:`Event`, a bare
+        callable or a :class:`LaneTimer` — and None otherwise, with the
+        queue's head then live (or the queue empty).  This is the one
+        prune/pop path: the kernel's run loop calls it once per event,
+        and :meth:`pop` and :meth:`peek_time` are thin wrappers.  Popping
+        a lane's front timer hands the lane's heap slot to its next
+        pending timer.
         """
         heap = self._heap
         while heap:
-            entry = heapq.heappop(heap)
+            entry = heap[0]
             item = entry[2]
-            if type(item) is Event:
+            cls = type(item)
+            if cls is LaneTimer:
+                if not item.cancelled and entry[0] > until:
+                    return None
+                fifo = item.lane._fifo
+                fifo.popleft()
+                while fifo and fifo[0].cancelled:
+                    fifo.popleft()
+                if fifo:
+                    head = fifo[0]
+                    heapq.heapreplace(heap, (head.time, head.seq, head))
+                else:
+                    heapq.heappop(heap)
                 if item.cancelled:
                     continue
                 item._queue = None  # a cancel() after firing must not count
+            elif cls is Event and item.cancelled:
+                heapq.heappop(heap)
+                continue
+            else:
+                if entry[0] > until:
+                    return None
+                heapq.heappop(heap)
+                if cls is Event:
+                    item._queue = None
             self._live -= 1
             return entry
         return None
 
+    def pop(self) -> Optional[Event]:
+        """Remove and return the earliest live event, or None.
+
+        Bare actions and lane timers are wrapped in a fresh
+        :class:`Event` so callers see one uniform type.
+        """
+        entry = self.take()
+        if entry is None:
+            return None
+        time, seq, item = entry
+        cls = type(item)
+        if cls is Event:
+            return item
+        if cls is LaneTimer:
+            lane, arg = item.lane, item.arg
+            return Event(time, seq, lambda: lane.callback(arg), lane.label)
+        return Event(time, seq, item)
+
     def peek_time(self) -> Optional[float]:
         """Return the firing time of the earliest pending event, or None."""
+        self.take(-_INF)  # prunes tombstones, pops nothing
         heap = self._heap
-        while heap:
-            head = heap[0][2]
-            if type(head) is Event and head.cancelled:
-                heapq.heappop(heap)
-                continue
-            return heap[0][0]
-        return None
+        return heap[0][0] if heap else None
 
     def clear(self) -> None:
-        """Drop every pending event."""
+        """Drop every pending event and every lane's pending timers."""
         for _, _, item in self._heap:
-            if type(item) is Event:
+            cls = type(item)
+            if cls is Event:
                 item._queue = None  # orphan: cancel() must not double-count
+            elif cls is LaneTimer:
+                # Each non-empty lane holds exactly one heap slot.
+                fifo = item.lane._fifo
+                for timer in fifo:
+                    timer._queue = None
+                fifo.clear()
         self._heap.clear()
         self._live = 0
 

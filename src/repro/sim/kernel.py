@@ -3,8 +3,8 @@
 :class:`Simulator` owns the virtual clock and the event queue.  All other
 subsystems (network, protocols, workloads, failure schedules) interact
 with the kernel exclusively through :meth:`Simulator.schedule` /
-:meth:`Simulator.call_at`, which keeps the whole run deterministic for a
-given seed.
+:meth:`Simulator.call_at` and fixed-delay :meth:`Simulator.lane` timers,
+which keeps the whole run deterministic for a given seed.
 
 The kernel deliberately knows nothing about processes, messages, or
 protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.
@@ -12,9 +12,9 @@ protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event, EventQueue, LaneTimer, TimerLane
 
 
 class SimulationError(RuntimeError):
@@ -55,7 +55,7 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of live (non-cancelled) events still queued."""
+        """Live events and lane timers queued: not fired, not cancelled."""
         return len(self._queue)
 
     # ------------------------------------------------------------------
@@ -90,6 +90,20 @@ class Simulator:
             )
         return self._queue.push(time, action, label)
 
+    def lane(
+        self, delay: float, callback: Callable[[Any], None], label: str = ""
+    ) -> TimerLane:
+        """A :class:`~repro.sim.events.TimerLane` of ``delay``-unit timers.
+
+        ``lane.arm(arg)`` fires ``callback(arg)`` exactly where
+        ``schedule(delay, lambda: callback(arg))`` would have, without a
+        per-timer event, closure or heap slot.  Meant for high-volume
+        fixed-delay timers that are mostly cancelled or no-ops.
+        """
+        if delay < 0:
+            raise SimulationError(f"negative delay {delay!r}")
+        return TimerLane(self._queue, self, delay, callback, label)
+
     def add_idle_hook(self, hook: Callable[[], None]) -> None:
         """Register a callback invoked when the queue drains.
 
@@ -109,7 +123,7 @@ class Simulator:
 
     def step(self) -> bool:
         """Execute the next event.  Returns False when the queue is empty."""
-        entry = self._queue.pop_entry()
+        entry = self._queue.take()
         if entry is None:
             return False
         time, _, item = entry
@@ -117,8 +131,11 @@ class Simulator:
             raise SimulationError("event queue yielded an event in the past")
         self._now = time
         self._events_executed += 1
-        if type(item) is Event:
+        cls = type(item)
+        if cls is Event:
             item.action()
+        elif cls is LaneTimer:
+            item.lane.callback(item.arg)
         else:
             item()
         return True
@@ -143,6 +160,9 @@ class Simulator:
         self._running = True
         self._stop_requested = False
         executed = 0
+        queue = self._queue
+        take = queue.take
+        horizon = float("inf") if until is None else until
         profiler = self.profiler
         if profiler is not None:
             profiler.push("kernel")
@@ -152,28 +172,31 @@ class Simulator:
                     break
                 if max_events is not None and executed >= max_events:
                     break
-                next_time = self._queue.peek_time()
-                if next_time is None:
+                # One frame per event: take() prunes tombstones and pops
+                # the head only if it is due by the horizon.
+                entry = take(horizon)
+                if entry is None:
+                    if queue._heap:
+                        # The next live event lies beyond ``until``.
+                        self._now = until
+                        break
                     # Queue drained: give idle hooks one chance to refill.
                     # Re-peeking (rather than comparing counts) stays
                     # exact even if a hook cancels stragglers while
                     # scheduling fresh work.
                     for hook in self._idle_hooks:
                         hook()
-                    if self._queue.peek_time() is None:
+                    if queue.peek_time() is None:
                         break
                     continue
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                # Inline step(): peek_time() already pruned cancelled
-                # heads, so this pop returns the peeked entry without
-                # re-scanning — one call frame per event instead of three.
-                time, _, item = self._queue.pop_entry()
+                time, _, item = entry
                 self._now = time
                 self._events_executed += 1
-                if type(item) is Event:
+                cls = type(item)
+                if cls is Event:
                     item.action()
+                elif cls is LaneTimer:
+                    item.lane.callback(item.arg)
                 else:
                     item()
                 executed += 1

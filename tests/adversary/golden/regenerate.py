@@ -13,6 +13,7 @@ from repro.adversary.selftest import (
     register_selftest_protocol,
 )
 from repro.campaigns.spec import (
+    CrashSpec,
     DestinationSpec,
     ScenarioSpec,
     WorkloadSpec,
@@ -55,8 +56,26 @@ def main() -> None:
     write_artifact(gcase, path)
     print(f"wrote {path}: {gcase.describe()}")
 
+    crash = ScenarioSpec(
+        name="golden-a1-leader-crash",
+        protocol="a1",
+        group_sizes=(3, 3),
+        workload=WorkloadSpec(
+            kind="periodic", period=1.5, count=12,
+            destinations=DestinationSpec(kind="uniform-k", k=2),
+        ),
+        crashes=CrashSpec(kind="explicit", crashes=((0, 4.2),)),
+        checkers=("properties",),
+    )
+    ccase = run_case(crash, get_adversary("none"), seed=7)
+    assert ccase.ok, ccase.violation
+    path = os.path.join(GOLDEN_DIR, "a1_leader_crash.json")
+    write_artifact(ccase, path)
+    print(f"wrote {path}: {ccase.describe()}")
+
     for name in ("broken_fifo_counterexample.json",
-                 "a1_partition_green.json"):
+                 "a1_partition_green.json",
+                 "a1_leader_crash.json"):
         result = replay_file(os.path.join(GOLDEN_DIR, name))
         assert result.reproduced, result.diffs
         print(f"{name}: {result.describe()}")

@@ -5,7 +5,14 @@ The engine refactor made ``len(queue)`` (and therefore
 events still occupy heap slots until lazily pruned, but must never be
 counted, and the idle-hook refill check in ``Simulator.run`` must stay
 exact in the presence of cancelled stragglers.
+
+Timer lanes keep the same contract: a lane timer fires at the
+``(time, seq)`` position a plain event scheduled at the same moment
+would have had, and a cancelled one is invisible.
 """
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
@@ -173,3 +180,206 @@ class TestIdleHookRefill:
         zombie.cancel()
         sim.run_until_quiescent()
         assert sim.pending_events == 0
+
+
+class TestTimerLanes:
+    def test_lane_and_plain_events_at_colliding_times_keep_scheduling_order(self):
+        sim = Simulator()
+        fired = []
+        lane = sim.lane(2.0, fired.append)
+        sim.schedule(2.0, lambda: fired.append("e0"))
+        lane.arm("t1")
+        sim.schedule(2.0, lambda: fired.append("e2"))
+        lane.arm("t3")
+        sim.schedule_action(2.0, lambda: fired.append("a4"))
+        # Armed at t=1 for t=3, behind events scheduled earlier for t=3.
+        sim.schedule(1.0, lambda: (lane.arm("t7"),
+                                   sim.schedule(2.0, lambda: fired.append("e8"))))
+        sim.schedule(3.0, lambda: fired.append("e6"))
+        sim.run()
+        assert fired == ["e0", "t1", "e2", "t3", "a4", "e6", "t7", "e8"]
+
+    def test_cancelled_lane_timers_never_fire_move_clock_or_count(self):
+        for victim in (0, 2, 4):  # head, middle, tail
+            sim = Simulator()
+            fired = []
+            lane = sim.lane(5.0, fired.append)
+            timers = []
+            for i in range(5):
+                timers.append(lane.arm(i))
+                sim.run(until=sim.now + 0.5)
+            timers[victim].cancel()
+            assert sim.pending_events == 4
+            sim.run()
+            assert fired == [i for i in range(5) if i != victim]
+            assert sim.events_executed == 4
+            assert sim.now == (6.5 if victim == 4 else 7.0)
+
+    def test_cancelled_last_timer_does_not_advance_clock(self):
+        sim = Simulator()
+        lane = sim.lane(10.0, lambda _: None)
+        sim.schedule(1.0, lambda: None)
+        lane.arm().cancel()
+        assert sim.run() == 1.0
+        assert sim.events_executed == 1
+
+    def test_pending_events_is_exact(self):
+        sim = Simulator()
+        lane = sim.lane(3.0, lambda _: None)
+        a, b, c = lane.arm(), lane.arm(), lane.arm()
+        sim.schedule(1.0, lambda: None)
+        assert sim.pending_events == 4
+        b.cancel()
+        b.cancel()
+        assert sim.pending_events == 3
+        a.cancel()
+        assert sim.pending_events == 2
+        sim.run()
+        assert sim.pending_events == 0
+        c.cancel()  # already fired: must not count
+        assert sim.pending_events == 0
+        assert sim.events_executed == 2
+
+    def test_clear_resets_lanes(self):
+        sim = Simulator()
+        fired = []
+        lane = sim.lane(1.0, fired.append)
+        stale = [lane.arm(i) for i in range(3)]
+        sim._queue.clear()
+        assert sim.pending_events == 0
+        stale[1].cancel()  # orphaned by clear(): must not count
+        assert sim.pending_events == 0
+        lane.arm("fresh")
+        assert sim.pending_events == 1
+        sim.run()
+        assert fired == ["fresh"]
+
+    def test_arm_cancel_cycles_keep_one_heap_slot_per_lane(self):
+        """The consensus pattern: a retry armed on every proposal and
+        cancelled shortly after by the decision."""
+        sim = Simulator()
+        lanes = [sim.lane(50.0, lambda _: None) for _ in range(2)]
+        for lane in lanes:
+            for _ in range(10_000):
+                lane.arm().cancel()
+        assert len(sim._queue._heap) <= len(lanes)
+        # Cancelled timers do not pile up behind the lane's heap slot.
+        assert max(len(lane._fifo) for lane in lanes) == 1
+        live = []
+        peak = {"heap": 0, "fifo": 0}
+
+        def tick(i):
+            if live:
+                live.pop().cancel()
+            live.append(lanes[i % 2].arm(i))
+            peak["heap"] = max(peak["heap"], len(sim._queue._heap))
+            peak["fifo"] = max(peak["fifo"],
+                               *(len(lane._fifo) for lane in lanes))
+            if i < 10_000:
+                sim.schedule(0.003, lambda: tick(i + 1))
+
+        tick(0)
+        sim.run()
+        # One slot per lane plus the driving event.
+        assert peak["heap"] <= len(lanes) + 1
+        assert peak["fifo"] <= 2
+        assert sim.pending_events == 0
+        assert sim.events_executed == 10_001
+
+
+def _mixed_schedule(sim, trace):
+    """Plain events, bare actions and lane timers at colliding times,
+    with cancellations and timers armed from inside callbacks."""
+    lane = sim.lane(1.5, lambda tag: trace.append((sim.now, tag)))
+    handles = []
+
+    def event(tag):
+        trace.append((sim.now, tag))
+        if tag.endswith("0"):
+            handles.append(lane.arm(tag + "-lane"))
+        if tag.endswith("3") and handles:
+            handles[len(handles) // 2].cancel()
+
+    for i in range(40):
+        delay = (i % 4) * 0.5
+        if i % 3 == 0:
+            sim.schedule(delay, lambda i=i: event(f"e{i}"))
+        elif i % 3 == 1:
+            sim.schedule_action(delay, lambda i=i: event(f"a{i}"))
+        else:
+            handles.append(lane.arm(f"t{i}"))
+    dropped = sim.schedule(0.5, lambda: trace.append((sim.now, "dropped")))
+    dropped.cancel()
+    handles[0].cancel()
+
+
+class TestRunMatchesStep:
+    def test_run_and_repeated_step_fire_the_same_trace(self):
+        by_run, by_step = [], []
+        sim_run, sim_step = Simulator(), Simulator()
+        _mixed_schedule(sim_run, by_run)
+        _mixed_schedule(sim_step, by_step)
+        sim_run.run()
+        while sim_step.step():
+            pass
+        assert by_run == by_step
+        tags = {tag for _, tag in by_run}
+        assert {"e0-lane", "a10-lane", "t5"} <= tags
+        assert not {"dropped", "t2"} & tags
+        assert sim_run.now == sim_step.now
+        assert sim_run.events_executed == sim_step.events_executed
+
+
+# Operations on a Simulator, replayed twice: once with timer lanes and
+# once with one plain Event per timer.  ``kind`` picks the operation;
+# ``a`` and ``b`` are its small-integer parameters.
+_OPS = st.lists(
+    st.tuples(st.sampled_from(["schedule", "arm", "cancel", "run"]),
+              st.integers(0, 3), st.integers(0, 7)),
+    max_size=60,
+)
+_LANE_DELAYS = (0.0, 1.0, 1.5)
+
+
+def _replay(ops, use_lanes):
+    sim = Simulator()
+    trace, handles = [], []
+
+    def fire(tag):
+        trace.append((sim.now, tag))
+        # Timers and events re-arm and cancel from inside callbacks too.
+        if tag % 5 == 0:
+            arm(tag % 3, tag + 1001)
+        elif tag % 5 == 1 and handles:
+            handles[tag % len(handles)].cancel()
+
+    lanes = [sim.lane(delay, fire) for delay in _LANE_DELAYS]
+
+    def arm(which, tag):
+        if use_lanes:
+            handles.append(lanes[which].arm(tag))
+        else:
+            handles.append(sim.schedule(_LANE_DELAYS[which],
+                                        lambda: fire(tag)))
+
+    observed = []
+    for i, (kind, a, b) in enumerate(ops):
+        if kind == "schedule":
+            sim.schedule(a * 0.5, lambda i=i: fire(i))
+        elif kind == "arm":
+            arm(a % 3, i)
+        elif kind == "cancel" and handles:
+            handles[b % len(handles)].cancel()
+        elif kind == "run":
+            sim.run(until=sim.now + a * 0.5)
+        observed.append((sim.now, sim.events_executed, sim.pending_events))
+    sim.run()
+    observed.append((sim.now, sim.events_executed, sim.pending_events))
+    return trace, observed
+
+
+class TestLaneEquivalenceProperty:
+    @settings(max_examples=300, deadline=None)
+    @given(_OPS)
+    def test_lanes_match_one_event_per_timer(self, ops):
+        assert _replay(ops, use_lanes=True) == _replay(ops, use_lanes=False)
