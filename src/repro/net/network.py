@@ -30,11 +30,13 @@ above notice nothing.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Optional
 
 from repro.net.message import Message
 from repro.net.topology import LatencyModel, Topology
 from repro.net.trace import MessageTrace, NetworkStats
+from repro.sim.events import TimerLane
 from repro.sim.kernel import Simulator
 from repro.sim.process import Process
 
@@ -67,6 +69,14 @@ def _phase_of_kind(kind: str) -> str:
     return _classify_kind(kind)
 
 
+def _passes(filters: List[DeliveryFilter], msg: Message) -> bool:
+    """Whether every delivery filter, asked in order, admits ``msg``."""
+    for flt in filters:
+        if not flt(msg):
+            return False
+    return True
+
+
 class Network:
     """Connects :class:`Process` objects through a latency model."""
 
@@ -96,11 +106,15 @@ class Network:
         #: mounted by ``build_system(transport="reliable")``.  None on
         #: the hot paths costs one attribute read + is-None test.
         self.transport = None
-        # src_gid -> {dst_gid -> constant link delay, or None when the
-        # pair's distribution needs an RNG draw per copy}.  Lazily
-        # filled; rows are fetched once per send_many call so the
-        # per-copy lookup is a single int-keyed dict access.
-        self._fixed_delay: Dict[int, Dict[int, Optional[float]]] = {}
+        # Fixed link delay -> the delivery lane its copies ride.
+        self._lanes: Dict[float, TimerLane] = {}
+        # Per-sender route rows, src pid -> {dst pid -> (inter, delay,
+        # dist)}; the members of a group share one (see _route_row).
+        self._routes: Dict[int, Dict[int, tuple]] = {}
+        for gid in topology.group_ids:
+            row = self._route_row(gid)
+            for pid in topology.members(gid):
+                self._routes[pid] = row
 
     # ------------------------------------------------------------------
     # Membership
@@ -192,23 +206,14 @@ class Network:
         self.stats.duplicated += 1
         if self.trace.enabled:
             self.trace.on_send(self.sim.now, copy)
-        self.sim.schedule_action(delay, lambda m=copy: self._deliver(m))
+        self._post(delay, [copy])
 
     # ------------------------------------------------------------------
     # Sending
     # ------------------------------------------------------------------
     def send(self, src: int, dst: int, kind: str, payload: dict) -> None:
         """Send one message from ``src`` to ``dst``."""
-        transport = self.transport
-        if transport is not None:
-            next_wire = transport.sequencer(src, kind, payload, self.sim.now)
-            if next_wire is not None:
-                if self._processes[src].crashed:
-                    return  # don't sequence what can never enter the wire
-                self._send_copy(src, dst, kind, payload,
-                                next_wire(src, dst))
-                return
-        self._send_copy(src, dst, kind, payload)
+        self._send(src, (dst,), kind, payload, None)
 
     def send_many(
         self, src: int, dsts: Iterable[int], kind: str, payload: dict
@@ -219,202 +224,171 @@ class Network:
         one-to-many send counts as a single logical step (at most one
         inter-group hop on any causal path), per Section 2.3.
 
-        Copies whose sampled link delay coincides are batched into a
-        single kernel event that fans out on fire.  Delays are sampled
-        and copies stamped in destination order, and same-delay copies
-        were already contiguous in the old per-copy scheduling (their
-        sequence numbers were consecutive), so batching changes neither
-        the RNG stream nor any delivery interleaving — it only removes
-        heap traffic.
+        Copies whose link delay coincides travel as one batch: one
+        kernel entry that fans out on delivery.  Delays are drawn and
+        copies stamped in destination order, one batch per distinct
+        delay in order of first appearance, so the RNG stream and every
+        ``(time, seq)`` key are what one entry per copy would give,
+        minus the entries.  A batch whose delay is a fixed link delay
+        rides that delay's delivery lane (see :mod:`repro.sim.events`):
+        lanes never reorder, so it costs no heap slot.  Only batches
+        whose sampled or hook-perturbed delay matches no fixed link
+        delay go on the heap.
         """
-        if self.profiler is not None:
-            self.profiler.push("network")
-            try:
-                self._send_many(src, dsts, kind, payload)
-            finally:
-                self.profiler.pop()
-            return
-        self._send_many(src, dsts, kind, payload)
+        self._send(src, dsts, kind, payload, None)
 
-    def _send_many(
-        self, src: int, dsts: Iterable[int], kind: str, payload: dict
-    ) -> None:
-        sender = self._processes[src]
-        if sender.crashed:
-            return
-        now = self.sim.now
-        transport = self.transport
-        next_wire = (transport.sequencer(src, kind, payload, now)
-                     if transport is not None else None)
-        group_of = self.topology.group_index
-        src_gid = group_of[src]
-        lamport = sender.lamport.value  # timestamp_send leaves it unchanged
-        trace = self.trace if self.trace.enabled else None
-        fixed_row = self._fixed_delay.get(src_gid)
-        if fixed_row is None:
-            fixed_row = self._fixed_delay[src_gid] = {}
-        rng = self.rng
-        total = 0
-        n_inter = 0
-        buckets: Dict[float, List[Message]] = {}
-        for dst in dsts:
-            dst_gid = group_of[dst]
-            inter = src_gid != dst_gid
-            if next_wire is None:
-                msg = Message(
-                    src, dst, kind, payload, inter,
-                    lamport + 1 if inter else lamport, now,
-                )
-            else:
-                msg = Message(
-                    src, dst, kind, payload, inter,
-                    lamport + 1 if inter else lamport, now,
-                    next_wire(src, dst),
-                )
-            total += 1
-            if inter:
-                n_inter += 1
-            if trace is not None:
-                trace.on_send(now, msg)
-            delay = fixed_row.get(dst_gid, -1.0)
-            if delay == -1.0 and dst_gid not in fixed_row:
-                fixed_row[dst_gid] = delay = self.latency.fixed_delay(
-                    src_gid, dst_gid)
-            if delay is None:
-                delay = self.latency.sample(src_gid, dst_gid, rng)
-            if self._delay_hooks:
-                for hook in self._delay_hooks:
-                    delay = hook(msg, delay)
-            bucket = buckets.get(delay)
-            if bucket is None:
-                buckets[delay] = [msg]
-            else:
-                bucket.append(msg)
-        self.stats.on_send_many(kind, total, n_inter)
-        schedule = self.sim.schedule_action
-        for delay, copies in buckets.items():
-            if len(copies) == 1:
-                schedule(delay, lambda m=copies[0]: self._deliver(m))
-            else:
-                schedule(delay, lambda ms=copies: self._deliver_batch(ms))
+    def _send(self, src: int, dsts: Iterable[int], kind: str,
+              payload: dict, wire: "int | None") -> None:
+        """The one send path: stamp, account, trace and post copies.
 
-    def _send_copy(self, src: int, dst: int, kind: str, payload: dict,
-                   wire: "int | None" = None) -> None:
-        if self.profiler is not None:
-            self.profiler.push("network")
-            try:
-                self._send_copy_impl(src, dst, kind, payload, wire)
-            finally:
-                self.profiler.pop()
-            return
-        self._send_copy_impl(src, dst, kind, payload, wire)
-
-    def _send_copy_impl(self, src: int, dst: int, kind: str,
-                        payload: dict, wire: "int | None" = None) -> None:
-        sender = self._processes[src]
-        if sender.crashed:
-            return
-        group_of = self.topology.group_index
-        src_gid = group_of[src]
-        dst_gid = group_of[dst]
-        inter = src_gid != dst_gid
-        lamport = sender.lamport.value  # timestamp_send leaves it unchanged
-        msg = Message(
-            src, dst, kind, payload, inter,
-            lamport + 1 if inter else lamport, self.sim.now, wire,
-        )
-        self.stats.on_send(msg)
-        if self.trace.enabled:
-            self.trace.on_send(self.sim.now, msg)
-        delay = self._link_delay(src_gid, dst_gid)
-        for hook in self._delay_hooks:
-            delay = hook(msg, delay)
-        self.sim.schedule_action(delay, lambda m=msg: self._deliver(m))
-
-    def _link_delay(self, src_gid: int, dst_gid: int) -> float:
-        """One delay draw for the link, via the fixed-delay cache.
-
-        ``send_many`` inlines the same cache consultation per copy (it
-        hoists the row lookup out of its fan-out loop); both paths
-        resolve misses through :meth:`LatencyModel.fixed_delay`, so the
-        caching rule lives in one place.
-        """
-        fixed_row = self._fixed_delay.get(src_gid)
-        if fixed_row is None:
-            fixed_row = self._fixed_delay[src_gid] = {}
-        delay = fixed_row.get(dst_gid, -1.0)
-        if delay == -1.0 and dst_gid not in fixed_row:
-            fixed_row[dst_gid] = delay = self.latency.fixed_delay(
-                src_gid, dst_gid)
-        if delay is None:
-            delay = self.latency.sample(src_gid, dst_gid, self.rng)
-        return delay
-
-    # ------------------------------------------------------------------
-    # Delivery
-    # ------------------------------------------------------------------
-    def _deliver_batch(self, msgs: List[Message]) -> None:
-        """Fan one latency bucket of a ``send_many`` out to its receivers.
-
-        Per-copy crash and filter checks still run individually; a
-        receiver's handler may crash a later receiver in the same batch
-        and that copy is then dropped, exactly as with per-copy events.
-        """
-        for msg in msgs:
-            self._deliver(msg)
-
-    def _deliver(self, msg: Message) -> None:
-        """One shared delivery path, profiled or not.
-
-        Under profiling, network bookkeeping (crash/filter checks,
-        clock, trace) is charged to "network" and the handler call to
-        the phase of its message kind (consensus / failure_detection /
-        protocol); a handler's own nested sends re-enter "network" via
-        :meth:`send_many`/:meth:`_send_copy`, so attribution stays
-        exclusive all the way down.  When the profiler is off the only
-        cost is the two ``is not None`` branches.
+        ``wire`` is None for new traffic, which the mounted transport
+        (if any) sequences copy by copy; the transport passes a frame
+        word of its own to put a retransmission back on the wire.
+        Under profiling the whole send is charged to "network".
         """
         profiler = self.profiler
         if profiler is not None:
             profiler.push("network")
         try:
-            receiver = self._processes[msg.dst]
-            if receiver.crashed:
-                self.stats.on_drop(msg)
+            sender = self._processes[src]
+            if sender.crashed:
                 return
-            for flt in self._filters:
-                if not flt(msg):
+            now = self.sim.now
+            next_wire = None
+            if wire is None and self.transport is not None:
+                next_wire = self.transport.sequencer(src, kind, payload, now)
+            row = self._routes[src]
+            lamport = sender.lamport.value  # timestamp_send leaves it
+            trace = self.trace if self.trace.enabled else None
+            hooks = self._delay_hooks
+            rng = self.rng
+            total = 0
+            n_inter = 0
+            buckets: Dict[float, List[Message]] = {}
+            for dst in dsts:
+                inter, delay, dist = row[dst]
+                if next_wire is not None:
+                    wire = next_wire(src, dst)
+                msg = Message(src, dst, kind, payload, inter,
+                              lamport + 1 if inter else lamport, now, wire)
+                total += 1
+                if inter:
+                    n_inter += 1
+                if trace is not None:
+                    trace.on_send(now, msg)
+                if delay is None:
+                    delay = dist.sample(rng)
+                if hooks:
+                    for hook in hooks:
+                        delay = hook(msg, delay)
+                bucket = buckets.get(delay)
+                if bucket is None:
+                    buckets[delay] = [msg]
+                else:
+                    bucket.append(msg)
+            self.stats.on_send_many(kind, total, n_inter)
+            for delay, copies in buckets.items():
+                self._post(delay, copies)
+        finally:
+            if profiler is not None:
+                profiler.pop()
+
+    def _route_row(self, src_gid: int) -> Dict[int, tuple]:
+        """The route row of group ``src_gid``'s senders.
+
+        Maps each ``dst`` pid to ``(inter, delay, dist)``: ``delay`` is
+        the link's fixed delay, whose delivery lane this creates on
+        first sight, or None when the link's distribution ``dist`` needs
+        a draw per copy.  One row per group, so this state is bounded by
+        groups times processes, and the lanes by the number of distinct
+        fixed delays.
+        """
+        group_of = self.topology.group_index
+        latency = self.latency
+        lanes = self._lanes
+        row = {}
+        for dst, dst_gid in group_of.items():
+            delay = latency.fixed_delay(src_gid, dst_gid)
+            if delay is not None and delay not in lanes:
+                lanes[delay] = self.sim.lane(delay, self._deliver_batch,
+                                             f"net:{delay:g}")
+            row[dst] = (src_gid != dst_gid, delay,
+                        latency.distribution(src_gid, dst_gid))
+        return row
+
+    def _post(self, delay: float, copies: List[Message]) -> None:
+        """Deliver one batch of copies ``delay`` from now.
+
+        The batch rides the delivery lane of its delay when one exists
+        (lanes exist for fixed link delays only, so their number stays
+        bounded), and the heap otherwise.  Either way it reserves the
+        next ``(time, seq)`` key, so the choice never changes the order.
+        """
+        lane = self._lanes.get(delay)
+        if lane is not None:
+            lane.arm(copies)
+        else:
+            self.sim.schedule_action(delay,
+                                     partial(self._deliver_batch, copies))
+
+    # ------------------------------------------------------------------
+    # Delivery
+    # ------------------------------------------------------------------
+    def _deliver_batch(self, msgs: List[Message]) -> None:
+        """Deliver one batch of copies: the one delivery path.
+
+        Per-copy crash and filter checks still run individually; a
+        receiver's handler may crash a later receiver in the same batch
+        and that copy is then dropped, exactly as with one event per
+        copy.  Under profiling, network bookkeeping (crash/filter
+        checks, clock, trace) is charged to "network" and each handler
+        call to the phase of its message kind (consensus /
+        failure_detection / protocol); a handler's own nested sends
+        re-enter "network" via :meth:`_send`, so attribution stays
+        exclusive all the way down.
+        """
+        profiler = self.profiler
+        if profiler is not None:
+            profiler.push("network")
+        try:
+            processes = self._processes
+            filters = self._filters
+            trace = self.trace if self.trace.enabled else None
+            now = self.sim.now
+            for msg in msgs:
+                receiver = processes[msg.dst]
+                if receiver.crashed or (filters
+                                        and not _passes(filters, msg)):
                     self.stats.on_drop(msg)
-                    return
-            # Inlined LamportClock.observe_receive and Process.handle —
-            # per-copy hot path (the crashed check already ran above).
-            clock = receiver.lamport
-            if msg.send_lamport > clock.value:
-                clock.value = msg.send_lamport
-            if self.trace.enabled:
-                self.trace.on_deliver(self.sim.now, msg)
-            handler = receiver._handlers.get(msg.kind)
-            if handler is None:
-                raise KeyError(
-                    f"process {receiver.pid} has no handler for kind "
-                    f"{msg.kind!r}"
-                )
-            wire = msg.wire
-            if wire is not None:
-                # A sequenced transport frame: checksum, dedup and
-                # in-order release happen there; the handler runs
-                # zero or more times (buffered successors flush).
-                self.transport.on_frame(receiver, msg, wire, handler,
-                                        profiler)
-                return
-            if profiler is None:
-                handler(msg)
-            else:
-                profiler.push(_phase_of_kind(msg.kind))
-                try:
+                    continue
+                # Inlined LamportClock.observe_receive and
+                # Process.handle (the crashed check already ran above).
+                clock = receiver.lamport
+                if msg.send_lamport > clock.value:
+                    clock.value = msg.send_lamport
+                if trace is not None:
+                    trace.on_deliver(now, msg)
+                handler = receiver._handlers.get(msg.kind)
+                if handler is None:
+                    raise KeyError(
+                        f"process {receiver.pid} has no handler for kind "
+                        f"{msg.kind!r}"
+                    )
+                wire = msg.wire
+                if wire is not None:
+                    # A sequenced transport frame: checksum, dedup and
+                    # in-order release happen there; the handler runs
+                    # zero or more times (buffered successors flush).
+                    self.transport.on_frame(receiver, msg, wire, handler,
+                                            profiler)
+                elif profiler is None:
                     handler(msg)
-                finally:
-                    profiler.pop()
+                else:
+                    profiler.push(_phase_of_kind(msg.kind))
+                    try:
+                        handler(msg)
+                    finally:
+                        profiler.pop()
         finally:
             if profiler is not None:
                 profiler.pop()

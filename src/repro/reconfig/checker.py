@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Set, Tuple
 
-from repro.store.checker import StreamingSerializabilityChecker
+from repro.store.checker import finished_replay
 
 
 class ReconfigViolation(AssertionError):
@@ -59,10 +59,7 @@ def check_reconfig(cluster) -> Dict[str, object]:
     sorted reconfig-id lists and ``keys_in_flight`` to keys stranded by
     unfinished moves — the campaign's reconfig metrics read it.
     """
-    checker = StreamingSerializabilityChecker(cluster.system.topology)
-    checker.ingest_journals(cluster)
-    checker.finalize(cluster)
-    replay = checker.reconfig_replay
+    replay = finished_replay(cluster)[1]
 
     # ------------------------------------------------------------ 1 + 2
     ops = {}

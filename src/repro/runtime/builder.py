@@ -27,7 +27,7 @@ detmerge    Aguilera & Strom [1] (deterministic merge)
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.clocks.latency import LatencyMeter
 from repro.core.interfaces import AppMessage, MessageCatalog
@@ -80,6 +80,13 @@ class System:
         # Global (pid, msg) hooks: streaming checkers subscribe here.
         self._delivery_hooks: List[Callable] = []
         self._cast_hooks: List[Callable] = []
+        # Destination validation state, computed once per system:
+        # every group id, and the pids whose endpoint only broadcasts.
+        self._all_groups = frozenset(topology.group_ids)
+        self._broadcast_pids: Set[int] = set()
+        # Planned casts arrive in time order, so they wait on one lane
+        # (one heap slot) rather than one heap event each; see cast_at.
+        self._cast_lane = sim.lane(0.0, self._do_cast, "cast")
 
     # ------------------------------------------------------------------
     # Wiring helpers (used by build_system)
@@ -87,6 +94,10 @@ class System:
     def install_endpoint(self, pid: int, endpoint: object) -> None:
         """Attach a protocol endpoint and wire its delivery callback."""
         self.endpoints[pid] = endpoint
+        if hasattr(endpoint, "a_mcast"):
+            self._broadcast_pids.discard(pid)
+        else:
+            self._broadcast_pids.add(pid)
         process = self.network.process(pid)
 
         def on_deliver(msg: AppMessage, pid=pid, process=process) -> None:
@@ -137,10 +148,10 @@ class System:
     # ------------------------------------------------------------------
     def _check_broadcast_destinations(self, msg: AppMessage) -> None:
         """Broadcast protocols require the full destination set."""
-        endpoint = self.endpoints[msg.sender]
-        if hasattr(endpoint, "a_mcast"):
-            return
-        if set(msg.dest_groups) != set(self.topology.group_ids):
+        if msg.sender not in self.endpoints:
+            raise KeyError(msg.sender)
+        if (msg.sender in self._broadcast_pids
+                and set(msg.dest_groups) != self._all_groups):
             raise ValueError(
                 f"{self.protocol_name} is a broadcast protocol; "
                 f"messages must address all groups"
@@ -200,6 +211,10 @@ class System:
         Destination validation runs here, at scheduling time, so a
         partial-destination cast against a broadcast protocol fails
         loudly instead of silently reaching ``a_bcast`` mid-run.
+
+        A plan cast in time order waits on the system's cast lane; a
+        cast earlier than the last one planned goes on the heap.  Both
+        reserve the same ``(time, seq)`` key, so the run is the same.
         """
         msg = AppMessage.fresh(sender=sender,
                                dest_groups=tuple(dest_groups)
@@ -207,8 +222,9 @@ class System:
                                else tuple(self.topology.group_ids),
                                payload=payload, mid=mid)
         self._check_broadcast_destinations(msg)
-        self.sim.call_at(time, lambda: self._do_cast(msg),
-                         label=f"cast:{msg.mid}")
+        if self._cast_lane.arm_at(time, msg) is None:
+            self.sim.call_at(time, lambda: self._do_cast(msg),
+                             label=f"cast:{msg.mid}")
         return msg
 
     # ------------------------------------------------------------------

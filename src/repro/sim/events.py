@@ -10,11 +10,15 @@ implementation detail: it is what makes a seed replay identically —
 the golden counterexample replays, the campaign runner's per-seed
 determinism check and the benchmark's delivery digests all rest on
 it — and ``tests/test_event_queue.py`` regression-tests it with
-colliding timestamps.  The contract covers timer lanes too: a
-:class:`TimerLane` timer reserves its ``(now + delay, seq)`` key when it
-is armed, drawing ``seq`` from the same counter as every event, and
-fires at exactly that position in the global order — the position a
-plain :class:`Event` scheduled at the same moment would have had.
+colliding timestamps.  The contract covers every lane too: a
+:class:`TimerLane` entry reserves its ``(now + delay, seq)`` key when it
+is armed (``(time, seq)`` for :meth:`TimerLane.arm_at`), drawing ``seq``
+from the same counter as every event, and fires at exactly that
+position in the global order — the position a plain :class:`Event`
+scheduled at the same moment would have had.  That holds for all three
+kinds of lane traffic: timers, the network's delivery lanes (one per
+fixed link delay, each entry one batch of copies) and time-ordered
+plans (casts, store transactions).
 
 Events sit on the hot path of every simulated message, so the queue's
 heap holds ``(time, seq, event)`` triples — the ``(time, seq)`` prefix
@@ -25,14 +29,18 @@ queue also keeps an exact count of *live* (non-cancelled) events:
 :meth:`Event.cancel` reports back to its owning queue, so ``len(queue)``
 never counts tombstones still sitting in the heap.
 
-**Timer lanes** carry the fixed-delay timers that almost never do
-anything (lazy relay checks, consensus retries).  Timers that share one
-delay fire in the order they were armed, so a lane keeps them in a FIFO
-and only its oldest timer holds a heap slot: the fixed-interval case of
-Varghese & Lauck's timing wheels.  A cancelled lane timer is invisible
-— it never fires, never moves the clock and is never counted — and a
-lane leaves at most one tombstone in the heap however many of its
-timers are cancelled.
+**Lanes** carry every stream of work that is already in key order:
+fixed-delay timers (lazy relay checks, consensus retries, transport ack
+coalescing), message copies on fixed-delay links, and plans armed in
+time order.  Entries that share one delay fire in the order they were
+armed, and so does a plan armed in time order, so a lane keeps them in
+a FIFO and only its oldest entry holds a heap slot: the fixed-interval
+case of Varghese & Lauck's timing wheels.  The heap then holds one slot per busy lane plus the work that
+can really arrive out of order (sampled link delays, jittered
+retransmission timers).  A cancelled lane timer is invisible — it never
+fires, never moves the clock and is never counted — and a lane leaves
+at most one tombstone in the heap however many of its timers are
+cancelled.
 """
 
 from __future__ import annotations
@@ -145,7 +153,9 @@ class TimerLane:
     have had as its own :class:`Event`.  Because the delay is fixed and
     the clock never runs backwards, the FIFO is already in key order, so
     only its front timer needs a heap slot; the queue hands the slot on
-    to the next pending timer when the front one pops.
+    to the next pending timer when the front one pops.  :meth:`arm_at`
+    appends at an absolute time instead, and keeps the FIFO in key order
+    by refusing a time earlier than the last pending timer's.
 
     Attributes:
         delay: Virtual time between arming and firing.
@@ -174,6 +184,26 @@ class TimerLane:
         fifo.append(timer)
         if len(fifo) == 1:
             heapq.heappush(queue._heap, (timer.time, timer.seq, timer))
+        queue._live += 1
+        return timer
+
+    def arm_at(self, time: float, arg: Any = None) -> Optional[LaneTimer]:
+        """Start a timer that calls ``callback(arg)`` at absolute ``time``.
+
+        For lanes fed a nondecreasing stream of times (a plan); the
+        lane's ``delay`` plays no part.  Returns None, arming nothing,
+        when ``time`` lies before the clock or before the lane's last
+        pending timer: the FIFO would leave key order, so the caller
+        must schedule that one on the heap instead.
+        """
+        fifo = self._fifo
+        if time < self._clock.now or (fifo and time < fifo[-1].time):
+            return None
+        queue = self._queue
+        timer = LaneTimer(time, next(queue._counter), arg, self, queue)
+        fifo.append(timer)
+        if len(fifo) == 1:
+            heapq.heappush(queue._heap, (time, timer.seq, timer))
         queue._live += 1
         return timer
 

@@ -3,8 +3,8 @@
 :class:`Simulator` owns the virtual clock and the event queue.  All other
 subsystems (network, protocols, workloads, failure schedules) interact
 with the kernel exclusively through :meth:`Simulator.schedule` /
-:meth:`Simulator.call_at` and fixed-delay :meth:`Simulator.lane` timers,
-which keeps the whole run deterministic for a given seed.
+:meth:`Simulator.call_at` and :meth:`Simulator.lane` FIFOs, which keeps
+the whole run deterministic for a given seed.
 
 The kernel deliberately knows nothing about processes, messages, or
 protocols — those live in :mod:`repro.sim.process` and :mod:`repro.net`.
@@ -25,12 +25,15 @@ class Simulator:
     """A deterministic virtual-time event loop.
 
     Attributes:
-        now: Current virtual time (read-only for clients).
+        now: Current virtual time (read-only for clients: only the
+            run loop advances it).
     """
 
     def __init__(self) -> None:
         self._queue = EventQueue()
-        self._now = 0.0
+        # A plain attribute, not a property: it is read on every send,
+        # timer and delivery, and only the run loop writes it.
+        self.now = 0.0
         self._running = False
         self._events_executed = 0
         self._stop_requested = False
@@ -43,11 +46,6 @@ class Simulator:
     # ------------------------------------------------------------------
     # Clock
     # ------------------------------------------------------------------
-    @property
-    def now(self) -> float:
-        """Current virtual time."""
-        return self._now
-
     @property
     def events_executed(self) -> int:
         """Number of events executed so far (diagnostics/benchmarks)."""
@@ -67,7 +65,7 @@ class Simulator:
         """Schedule ``action`` to run ``delay`` time units from now."""
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        return self._queue.push(self._now + delay, action, label)
+        return self._queue.push(self.now + delay, action, label)
 
     def schedule_action(self, delay: float, action: Callable[[], None]) -> None:
         """Schedule a non-cancellable callback ``delay`` units from now.
@@ -78,15 +76,15 @@ class Simulator:
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
-        self._queue.push_action(self._now + delay, action)
+        self._queue.push_action(self.now + delay, action)
 
     def call_at(
         self, time: float, action: Callable[[], None], label: str = ""
     ) -> Event:
         """Schedule ``action`` at an absolute virtual time."""
-        if time < self._now:
+        if time < self.now:
             raise SimulationError(
-                f"cannot schedule at {time!r}, already at {self._now!r}"
+                f"cannot schedule at {time!r}, already at {self.now!r}"
             )
         return self._queue.push(time, action, label)
 
@@ -97,8 +95,11 @@ class Simulator:
 
         ``lane.arm(arg)`` fires ``callback(arg)`` exactly where
         ``schedule(delay, lambda: callback(arg))`` would have, without a
-        per-timer event, closure or heap slot.  Meant for high-volume
-        fixed-delay timers that are mostly cancelled or no-ops.
+        per-timer event, closure or heap slot; ``lane.arm_at(time, arg)``
+        does the same for ``call_at(time, ...)`` while the times it is
+        given do not decrease.  Meant for high-volume streams that are
+        already in key order: fixed-delay timers, copies on a
+        fixed-delay link, a time-ordered cast plan.
         """
         if delay < 0:
             raise SimulationError(f"negative delay {delay!r}")
@@ -127,9 +128,9 @@ class Simulator:
         if entry is None:
             return False
         time, _, item = entry
-        if time < self._now:
+        if time < self.now:
             raise SimulationError("event queue yielded an event in the past")
-        self._now = time
+        self.now = time
         self._events_executed += 1
         cls = type(item)
         if cls is Event:
@@ -178,7 +179,7 @@ class Simulator:
                 if entry is None:
                     if queue._heap:
                         # The next live event lies beyond ``until``.
-                        self._now = until
+                        self.now = until
                         break
                     # Queue drained: give idle hooks one chance to refill.
                     # Re-peeking (rather than comparing counts) stays
@@ -190,7 +191,7 @@ class Simulator:
                         break
                     continue
                 time, _, item = entry
-                self._now = time
+                self.now = time
                 self._events_executed += 1
                 cls = type(item)
                 if cls is Event:
@@ -204,7 +205,7 @@ class Simulator:
             self._running = False
             if profiler is not None:
                 profiler.pop()
-        return self._now
+        return self.now
 
     def run_until_quiescent(
         self, max_events: int = 10_000_000, until: Optional[float] = None

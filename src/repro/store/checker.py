@@ -500,15 +500,42 @@ class StreamingSerializabilityChecker:
                 )
 
 
-def check_serializability(cluster) -> Tuple[str, ...]:
-    """Post-hoc one-copy-serializability check over a finished run.
+def finished_replay(cluster) -> Tuple[Tuple[str, ...], Dict[str, dict]]:
+    """The one-copy replay of a finished run: its order and reconfigs.
 
     Folds the per-replica execution journals through the streaming core
     (for static scenarios these equal the delivery logs; for elastic
     ones they additionally carry the reconfig/handoff markers and the
     effects of migration stalls) and runs the final checks; returns the
-    global serial order on success.
+    global serial order and the checker's ``reconfig_replay``.  The
+    replay is a function of the finished run alone, so it is computed
+    once and shared: :func:`check_serializability` and the reconfig
+    checker both read it.  Only the two results are kept on the cluster,
+    with the kernel's executed-event count, so a run that goes on is
+    replayed afresh; a replay that failed is kept too, and raises the
+    same violation again.
     """
-    checker = StreamingSerializabilityChecker(cluster.system.topology)
-    checker.ingest_journals(cluster)
-    return checker.finalize(cluster)
+    stamp = cluster.system.sim.events_executed
+    cached = cluster.replay
+    if cached is None or cached[0] != stamp:
+        checker = StreamingSerializabilityChecker(cluster.system.topology)
+        checker.ingest_journals(cluster)
+        try:
+            order = checker.finalize(cluster)
+        except SerializabilityViolation as exc:
+            cached = (stamp, None, None, exc)
+        else:
+            cached = (stamp, order, checker.reconfig_replay, None)
+        cluster.replay = cached
+    if cached[3] is not None:
+        raise cached[3]
+    return cached[1], cached[2]
+
+
+def check_serializability(cluster) -> Tuple[str, ...]:
+    """Post-hoc one-copy-serializability check over a finished run.
+
+    Runs (or reuses) :func:`finished_replay`; returns the global serial
+    order on success.
+    """
+    return finished_replay(cluster)[0]

@@ -90,6 +90,10 @@ class StoreCluster:
         self.plans = plans
         self.data_gids = data_group_ids(spec, system.topology)
         self.balancer = None
+        #: The finished run's one-copy replay, shared by the
+        #: serializability and reconfig checkers (see
+        #: :func:`repro.store.checker.finished_replay`).
+        self.replay = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -169,15 +173,20 @@ class StoreCluster:
                 mode=spec.rebalance_mode,
             )
             cluster.balancer.schedule(spec.start, spec.horizon)
+        # The plan comes in time order, so it waits on one lane (one
+        # heap slot); a plan out of order goes on the heap under the
+        # same (time, seq) key.
+        lane = system.sim.lane(0.0, cluster._submit, "txn")
         for plan in plans:
-            system.sim.call_at(
-                plan.time,
-                lambda plan=plan: clients[plan.client].submit(
-                    plan.txn_id, plan.ops),
-                label=f"txn:{plan.txn_id}",
-            )
+            if lane.arm_at(plan.time, plan) is None:
+                system.sim.call_at(plan.time,
+                                   lambda plan=plan: cluster._submit(plan),
+                                   label=f"txn:{plan.txn_id}")
         system.store_cluster = cluster
         return cluster
+
+    def _submit(self, plan: TxnPlan) -> None:
+        self.clients[plan.client].submit(plan.txn_id, plan.ops)
 
     def _on_bounce(self, client_pid: int, txn_id: str, gid: int,
                    keys: tuple, updates: Dict[str, int]) -> None:

@@ -31,7 +31,7 @@ injector XORs a non-zero mask into the checksum byte of one copy's
 frame word (simulated frame damage), and a receiver discards any copy
 whose checksum fails — so with the transport mounted, corruption
 degrades to loss, which retransmission already handles, and without it
-a corrupted copy is dropped at the link layer (``_deliver``'s filter
+a corrupted copy is dropped at the link layer (the delivery filter
 path), which is exactly how real link CRCs behave.
 
 Acknowledgements travel as their own ``tsp.ack`` kind (never wrapped,
@@ -151,6 +151,9 @@ class ReliableTransport:
             base = 1.0
         #: Ack coalescing window: one ack per link per burst of arrivals.
         self.ack_delay = ack_delay if ack_delay is not None else base
+        # Every link's ack timer has that one delay, so they share a
+        # FIFO lane instead of one heap event each.
+        self._ack_lane = sim.lane(self.ack_delay, self._send_ack, ACK_KIND)
         #: Base timeout for links whose latency needs sampling.
         self._default_rto = (rto if rto is not None
                              else 3.0 * base + 2.0 * self.ack_delay)
@@ -283,7 +286,7 @@ class ReliableTransport:
     def _resend(self, src: int, dst: int, seq: int, kind: str,
                 body: dict) -> None:
         wire = (seq << 8) | _checksum(src, dst, seq)
-        self.network._send_copy(src, dst, kind, body, wire)
+        self.network._send(src, (dst,), kind, body, wire)
 
     def _on_timer(self, lk: Tuple[int, int]) -> None:
         """Lazy per-link retransmission timer (non-cancellable kernel
@@ -369,7 +372,7 @@ class ReliableTransport:
                  profiler) -> None:
         """Admit one arriving copy: checksum, dedup, in-order release.
 
-        Called by ``Network._deliver`` (with ``wire = msg.wire``) after
+        Called by ``Network._deliver_batch`` (with ``wire = msg.wire``) after
         the crash/filter/clock/trace steps, in place of the direct
         handler dispatch.  Releases zero or more frames upward (the
         copy itself if it fills the window's head, plus any buffered
@@ -411,8 +414,7 @@ class ReliableTransport:
             self._stats.buffered += 1
         if not link.ack_armed:
             link.ack_armed = True
-            self.sim.schedule_action(self.ack_delay,
-                                     lambda k=(src, dst): self._send_ack(k))
+            self._ack_lane.arm((src, dst))
 
     def _dispatch(self, msg, handler, profiler) -> None:
         """Release one frame to its protocol handler, profiled like a
@@ -440,8 +442,8 @@ class ReliableTransport:
             return  # the dead don't ack
         sack = tuple(sorted(link.buffer)) if link.buffer else ()
         self._stats.acks_sent += 1
-        self.network._send_copy(dst, src, ACK_KIND,
-                                {_ACK_BODY: (link.next_seq, sack)})
+        self.network.send(dst, src, ACK_KIND,
+                          {_ACK_BODY: (link.next_seq, sack)})
 
     # ------------------------------------------------------------------
     # Drain inspection (stabilization checker)

@@ -6,16 +6,25 @@ events still occupy heap slots until lazily pruned, but must never be
 counted, and the idle-hook refill check in ``Simulator.run`` must stay
 exact in the presence of cancelled stragglers.
 
-Timer lanes keep the same contract: a lane timer fires at the
-``(time, seq)`` position a plain event scheduled at the same moment
-would have had, and a cancelled one is invisible.
+Lanes keep the same contract: a lane timer fires at the ``(time,
+seq)`` position a plain event scheduled at the same moment would have
+had, and a cancelled one is invisible.  The network's delivery lanes,
+the transport's ack lane and the cast lane are checked against a
+reference run that puts every one of their entries on the heap.
 """
+
+import random
+from functools import partial
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.net.message import Message
+from repro.net.topology import Fixed, LatencyModel, Uniform
+from repro.runtime.builder import build_system
 from repro.sim.events import Event, EventQueue
 from repro.sim.kernel import Simulator
+from repro.workload.generators import poisson_workload, uniform_k_groups
 
 
 class TestLiveCount:
@@ -383,3 +392,205 @@ class TestLaneEquivalenceProperty:
     @given(_OPS)
     def test_lanes_match_one_event_per_timer(self, ops):
         assert _replay(ops, use_lanes=True) == _replay(ops, use_lanes=False)
+
+
+class TestArmAt:
+    def test_arm_at_keeps_key_order_with_plain_events(self):
+        sim = Simulator()
+        fired = []
+        lane = sim.lane(0.0, fired.append)
+        lane.arm_at(2.0, "c0")
+        sim.call_at(2.0, lambda: fired.append("e1"))
+        lane.arm_at(2.0, "c2")
+        lane.arm_at(3.0, "c3")
+        sim.call_at(1.0, lambda: fired.append("e4"))
+        sim.run()
+        assert fired == ["e4", "c0", "e1", "c2", "c3"]
+        assert sim.events_executed == 5
+
+    def test_arm_at_refuses_times_that_would_break_fifo_order(self):
+        sim = Simulator()
+        lane = sim.lane(0.0, lambda _: None)
+        assert lane.arm_at(5.0) is not None
+        assert lane.arm_at(4.0) is None  # before the last pending timer
+        assert sim.pending_events == 1
+        sim.call_at(6.0, lambda: None)
+        sim.run()
+        assert sim.now == 6.0
+        assert lane.arm_at(5.5) is None  # in the past
+        assert lane.arm_at(6.0) is not None  # empty FIFO: any due time
+        assert sim.pending_events == 1
+        assert sim.run() == 6.0
+
+
+# ----------------------------------------------------------------------
+# Delivery lanes: mixed network traffic against a heap-only reference
+# ----------------------------------------------------------------------
+class _HeapLane:
+    """Reference stand-in for a lane: one heap event per entry, and
+    every :meth:`arm_at` refused so casts fall back to ``call_at``."""
+
+    def __init__(self, sim, delay, callback):
+        self.sim, self.delay, self.callback = sim, delay, callback
+
+    def arm(self, arg=None):
+        return self.sim.schedule(self.delay, lambda: self.callback(arg))
+
+    def arm_at(self, time, arg=None):
+        return None
+
+
+def _heap_only(system):
+    """Put every copy batch, ack timer and cast on its own heap event:
+    the order the ``(time, seq)`` keys predict, with nothing on lanes."""
+    net, sim = system.network, system.sim
+    net._post = lambda delay, copies: sim.schedule_action(
+        delay, partial(net._deliver_batch, copies))
+    system._cast_lane = _HeapLane(sim, 0.0, system._do_cast)
+    tsp = system.transport
+    if tsp is not None:
+        tsp._ack_lane = _HeapLane(sim, tsp.ack_delay, tsp._send_ack)
+
+
+_TRAFFIC = st.lists(
+    st.tuples(st.sampled_from(["send", "many", "inject", "cast", "run"]),
+              st.integers(0, 7), st.integers(0, 7)),
+    max_size=25,
+)
+_N = 6  # groups (2, 2, 2): pids 0-1, 2-3, 4-5
+
+
+def _hooked(msg):
+    return msg.kind == "x" and msg.payload["n"] % 3 == 0
+
+
+def _perturb(msg, delay):
+    # Intra copies (0.5) land on the inter lane's delay (1.0).
+    return delay + 0.5 if _hooked(msg) else delay
+
+
+def _traffic(ops, transport, hooked, lanes=True):
+    # Every link has a fixed delay except group 0 -> group 2, which
+    # draws one per copy.
+    latency = LatencyModel(intra=Fixed(0.5), inter=Fixed(1.0),
+                           pairwise_inter={(0, 2): Uniform(0.5, 1.5)})
+    system = build_system("a1", (2, 2, 2), latency=latency, seed=3,
+                          transport="reliable" if transport else "none",
+                          trace=True)
+    if not lanes:
+        _heap_only(system)
+    sim, net = system.sim, system.network
+    for pid in range(_N):
+        net.process(pid).register_handler("x", lambda msg: None)
+    if hooked:
+        net.add_delay_hook(_perturb)
+    casts, planned = [], []
+    system.add_cast_hook(lambda msg: casts.append((sim.now, msg.mid)))
+    observed = []
+    for i, (kind, a, b) in enumerate(ops):
+        src = a % _N
+        if kind == "send":
+            net.send(src, b % _N, "x", {"n": i})
+        elif kind == "many":
+            dsts = [(src + k) % _N for k in range(1 + b % _N)]
+            net.send_many(src, dsts, "x", {"n": i})
+        elif kind == "inject":
+            dst = b % _N
+            net.inject_copy(Message(src, dst, "x", {"n": i, "inject": a},
+                                    src // 2 != dst // 2, 0, sim.now),
+                            (a % 4) * 0.5)
+        elif kind == "cast":
+            time = sim.now + b * 0.25  # later casts may come earlier
+            dest = tuple(sorted({a % 3, (a + b) % 3}))
+            system.cast_at(time, src, dest, mid=f"c{i:03d}")
+            planned.append((time, f"c{i:03d}"))
+        else:
+            sim.run(until=sim.now + a * 0.25)
+        observed.append((sim.now, sim.events_executed, sim.pending_events))
+    sim.run()
+    observed.append((sim.now, sim.events_executed, sim.pending_events))
+    return system, casts, planned, observed
+
+
+def _wire_events(system):
+    return [(e.event, e.time, e.msg.src, e.msg.dst, e.msg.kind, e.msg.wire)
+            for e in system.network.trace.events]
+
+
+class TestDeliveryLanesProperty:
+    @settings(max_examples=120, deadline=None)
+    @given(_TRAFFIC, st.booleans(), st.booleans())
+    def test_mixed_traffic_delivers_in_key_order_exactly_once(
+            self, ops, transport, hooked):
+        system, casts, planned, observed = _traffic(ops, transport, hooked)
+        events = system.network.trace.events
+        sent = {}  # id(copy) -> (position in send order, send time, copy)
+        delivered = []
+        for event in events:
+            if event.event == "send":
+                sent[id(event.msg)] = (len(sent), event.time, event.msg)
+            else:
+                delivered.append(event)
+        # Every copy exactly once (no crash, no filter, no loss).
+        assert sorted(id(e.msg) for e in delivered) == sorted(sent)
+        # In (send time + delay, send order) order.
+        keys = [(e.time, sent[id(e.msg)][0]) for e in delivered]
+        assert keys == sorted(keys)
+        for event in delivered:
+            msg = event.msg
+            send_time = sent[id(msg)][1]
+            if "inject" in msg.payload:
+                delay = (msg.payload["inject"] % 4) * 0.5
+            else:
+                sampled = system.topology.group_of(msg.src) == 0 and \
+                    system.topology.group_of(msg.dst) == 2
+                if sampled:
+                    assert 0.5 <= event.time - send_time <= 2.0 + 1e-9
+                    continue
+                delay = 1.0 if msg.inter_group else 0.5
+                if hooked:
+                    delay = _perturb(msg, delay)
+            assert event.time == send_time + delay
+        # Casts fire at their planned time, in (time, plan order) order,
+        # whether they rode the cast lane or fell back to the heap.
+        assert casts == sorted(planned, key=lambda p: p[0])
+        # Same copies, same order, same kernel counters as one heap
+        # event per key.
+        reference, ref_casts, _, ref_observed = _traffic(
+            ops, transport, hooked, lanes=False)
+        assert _wire_events(system) == _wire_events(reference)
+        assert casts == ref_casts
+        assert observed == ref_observed
+        for pid in range(_N):
+            assert system.log.sequence(pid) == reference.log.sequence(pid)
+
+
+class TestHeapHoldsLanes:
+    def test_a1_fan_out_keeps_the_heap_at_one_slot_per_lane(self):
+        """An a1_hot-sized plan (150 casts/unit, 2 of 3 groups): every
+        copy, cast and timer rides a lane, so the heap never holds more
+        than one slot per lane while thousands of entries wait."""
+        system = build_system("a1", (3, 3, 3), seed=7)
+        plans = poisson_workload(system.topology, random.Random(7),
+                                 rate=150.0, duration=2.0,
+                                 destinations=uniform_k_groups(2))
+        for i, plan in enumerate(plans):
+            system.cast_at(plan.time, plan.sender, plan.dest_groups,
+                           mid=f"m{i:06d}")
+        heap = system.sim._queue._heap
+        peak = {"heap": 0, "pending": 0}
+
+        def sample(pid, msg):
+            peak["heap"] = max(peak["heap"], len(heap))
+            peak["pending"] = max(peak["pending"],
+                                  system.sim.pending_events)
+
+        system.add_delivery_hook(sample)
+        system.run_quiescent()
+        # Two delivery lanes (intra 0.001, inter 1.0), the cast lane,
+        # and per process one relay-check and one consensus-retry lane.
+        lanes = len(system.network._lanes) + 1 + 2 * 9
+        assert len(system.network._lanes) == 2
+        assert peak["heap"] <= lanes
+        assert peak["pending"] > 10 * lanes
+        assert len(system.log.cast_map) == len(plans)
